@@ -46,7 +46,7 @@ func main() {
 		schemes  = flag.String("schemes", "", "comma-separated scheme filter (e.g. ppt,dctcp)")
 		sched    = flag.String("sched", "wheel", "event-queue implementation: wheel (hierarchical timing wheel) or heap (4-ary min-heap); results are identical, speed is not")
 		shards   = flag.Int("shards", 1, "worker-goroutine cap for the windowed sharded engine on leaf-spine fabrics (results are identical at any value >= 1)")
-		fastpath = flag.String("fastpath", "on", "cut-through fused port pipeline: on (default) or off (classic two-event pipeline; results are identical, speed is not)")
+		fastpath = flag.String("fastpath", "on", "cut-through fused port pipeline: on (default) or off (classic two-event pipeline on monolithic fabrics; partitioned leaf-spine fabrics always run fused; results are identical, speed is not)")
 		asCSV    = flag.Bool("csv", false, "emit results as CSV instead of tables")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of tables")
 

@@ -33,9 +33,15 @@ import (
 // round-trip exactly, and payload equality is bit equality of results.
 // The layout is pinned by TestSummarySchemaPinned — adding a field to
 // stats.Summary without bumping schemaVersion fails that test.
+//
+// schemaVersion is also mixed into every key, so bumping it retires all
+// stored entries. Version 2: partitioned leaf-spine fabrics moved from
+// the pre-fusion pipeline to the fused one, which shifts some of their
+// outcomes at same-instant ties; builds without VCS stamping share one
+// code epoch and would otherwise replay cells computed before the move.
 
 const (
-	schemaVersion = 1
+	schemaVersion = 2
 	fileSuffix    = ".c1"
 	magic         = "PPTC"
 	headerLen     = len(magic) + 2 + 32 + 4

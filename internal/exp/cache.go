@@ -38,7 +38,6 @@ func canonCfg(cfg topo.Config) string {
 	cfg.Sched = 0
 	cfg.Shards = 0
 	cfg.NoFastPath = false
-	cfg.LegacyPipeline = false
 	return fmt.Sprintf("%+v", cfg)
 }
 

@@ -15,6 +15,8 @@ import (
 // (worker count) and event-queue implementation must produce an
 // identical summary and identical efficiency counters — the
 // determinism claim behind `-shards` being a pure performance knob.
+// One alternative also sets noFastPath: partitioned fabrics must ignore
+// -fastpath=off, which is what lets the cache key exclude the flag.
 // The workload is sized so the compared runs execute well over two
 // million scheduler events in total, asserted at the end so a silently
 // shrunken workload fails loudly instead of hollowing out the
@@ -68,26 +70,29 @@ func TestShardedDifferential(t *testing.T) {
 		}
 
 		for _, v := range []struct {
-			shards int
-			sched  sim.Impl
+			shards     int
+			sched      sim.Impl
+			noFastPath bool
 		}{
-			{2, sim.Wheel},
-			{4, sim.Heap},
-			{8, sim.Wheel},
-			{1, sim.Heap},
+			{2, sim.Wheel, false},
+			{4, sim.Heap, false},
+			{8, sim.Wheel, false},
+			{1, sim.Heap, false},
+			{4, sim.Wheel, true},
 		} {
 			alt := spec
 			alt.shards = v.shards
 			alt.sched = v.sched
+			alt.noFastPath = v.noFastPath
 			altSum, altEnv := execute(alt)
 			totalEvents += altEnv.Net.Executed()
 			if baseSum != altSum {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v summary diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, baseSum, altSum)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v noFastPath=%v summary diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, v.noFastPath, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v efficiency counters diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, baseEnv.Eff, altEnv.Eff)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v noFastPath=%v efficiency counters diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, v.noFastPath, baseEnv.Eff, altEnv.Eff)
 			}
 		}
 	}

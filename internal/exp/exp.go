@@ -70,9 +70,11 @@ type Options struct {
 	// permissive so experiment matrices can sweep Shards uniformly.
 	StrictShards bool
 	// NoFastPath disables the fused cut-through port pipeline in every
-	// cell (the -fastpath=off escape hatch). Results are byte-identical
-	// either way (pinned by the fused differential); the knob exists so
-	// regressions can be bisected to the fast path in one rerun.
+	// monolithic cell (the -fastpath=off escape hatch); partitioned
+	// leaf-spine cells always run fused. Results are byte-identical
+	// either way (pinned by the fused and sharded differentials); the
+	// knob exists so regressions can be bisected to the fast path in one
+	// rerun.
 	NoFastPath bool
 	// Cache, when non-nil, answers cells content-addressed from the
 	// result cache: each cell's canonical descriptor (outcome-relevant

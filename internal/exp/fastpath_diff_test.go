@@ -14,9 +14,9 @@ import (
 // actually engages — a fused run and a -fastpath=off run must produce an
 // identical summary and identical efficiency counters, while the fused
 // run executes strictly fewer scheduler events. Partitioned fabrics are
-// deliberately absent: LeafSpine forces the pre-fusion legacy pipeline
-// on every port when sharded (see topo.LeafSpine), so a differential
-// there would compare the legacy path against itself.
+// deliberately absent: they run fused whatever the flag says (see
+// topo.LeafSpine), which TestShardedDifferential pins with its
+// noFastPath alternative.
 func TestFastPathDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many randomized simulation cells")

@@ -218,8 +218,9 @@ type runSpec struct {
 	// into the spilling collector at round barriers in canonical order
 	// (stats.WindowFold), bit-identical to the in-memory merge.
 	spillChunk int
-	// noFastPath runs every port on the classic two-event pipeline
-	// (from Options.NoFastPath). Byte-identical outcomes either way.
+	// noFastPath runs every port of a monolithic fabric on the classic
+	// two-event pipeline (from Options.NoFastPath); partitioned fabrics
+	// ignore it. Byte-identical outcomes either way.
 	noFastPath bool
 }
 

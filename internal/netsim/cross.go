@@ -57,18 +57,22 @@ func (o *Outbox) deposit(at sim.Time, pkt *Packet, p *Port, dst int32) {
 // Inbox holds the cross-shard packets due for delivery inside one
 // shard, sorted by the canonical order. The driver appends and sorts at
 // barriers (while the shard is quiescent); the shard's own event loop
-// pops due entries via the armed timer.
+// pops due entries via the armed timer, advancing head past them.
+// pending[head:] is the live set; the delivered prefix is compacted
+// away at the next barrier merge, not on every fire.
 type Inbox struct {
 	sched   *sim.Scheduler
 	pending []CrossEntry
+	head    int
 	timer   sim.Timer
 	armedAt sim.Time
 	dirty   bool
 	fireFn  func()
 	// sorted is the length of the already-canonical prefix of pending
 	// when a barrier merge begins (everything outside MergeWindows is
-	// fully sorted, so this is just len(pending) at first append);
-	// scratch is the reusable suffix buffer of the batched merge.
+	// fully sorted, so this is just len(pending) at first append, after
+	// compaction);
+	// scratch is the reusable overlap buffer of the batched merge.
 	sorted  int
 	scratch []CrossEntry
 }
@@ -84,21 +88,20 @@ func NewInbox(s *sim.Scheduler) *Inbox {
 // order) and re-arms for the next one.
 func (in *Inbox) fire() {
 	now := in.sched.Now()
-	n := 0
-	for n < len(in.pending) && in.pending[n].At == now {
-		e := &in.pending[n]
+	i := in.head
+	for i < len(in.pending) && in.pending[i].At == now {
+		e := &in.pending[i]
 		e.Port.deliverCross(e.Pkt)
-		n++
+		*e = CrossEntry{}
+		i++
 	}
-	rem := copy(in.pending, in.pending[n:])
-	for i := rem; i < len(in.pending); i++ {
-		in.pending[i] = CrossEntry{}
+	if i == len(in.pending) {
+		in.pending, in.head = in.pending[:0], 0
+		return
 	}
-	in.pending = in.pending[:rem]
-	if rem > 0 {
-		in.armedAt = in.pending[0].At
-		in.timer = in.sched.At(in.armedAt, in.fireFn)
-	}
+	in.head = i
+	in.armedAt = in.pending[i].At
+	in.timer = in.sched.At(in.armedAt, in.fireFn)
 }
 
 // MergeWindows moves every outbox deposit into the destination inboxes,
@@ -110,12 +113,13 @@ func (in *Inbox) fire() {
 //
 // The drain is batched: each inbox's pending set is a sorted prefix
 // (everything that survived earlier barriers — the invariant outside
-// this function) plus this barrier's appended suffix. Only the suffix
-// is sorted; when the suffix doesn't already follow the prefix (rare —
-// deposits are usually later than everything still pending) the two
-// runs are merged backward in place through a reused per-inbox scratch
-// buffer. That replaces the old full re-sort per dirty inbox per
-// barrier, which was the dominant barrier cost at high shard counts.
+// this function) plus this barrier's appended suffix, which arrives as
+// a few already-sorted runs. Each run is merged into the prefix in
+// place, moving only the overlap through a reused per-inbox scratch
+// buffer (mergeRuns) — usually nothing, since deposits tend to be later
+// than everything still pending. That replaces the old full re-sort
+// per dirty inbox per barrier, which was the dominant barrier cost at
+// high shard counts.
 func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 	moved := 0
 	for _, o := range outboxes {
@@ -125,6 +129,11 @@ func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 			in := inboxes[e.Dst]
 			if !in.dirty {
 				in.dirty = true
+				if in.head > 0 {
+					n := copy(in.pending, in.pending[in.head:])
+					clear(in.pending[n:])
+					in.pending, in.head = in.pending[:n], 0
+				}
 				in.sorted = len(in.pending)
 			}
 			in.pending = append(in.pending, *e)
@@ -137,11 +146,21 @@ func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 			continue
 		}
 		in.dirty = false
+		// Fold the suffix into the sorted prefix one natural run at a
+		// time. Runs are long: a cross port's deposits strictly increase
+		// in (At, Seq), and in a leaf-spine partition each destination
+		// is fed by one port per source shard, so a barrier appends at
+		// most one run per source. Cost is O(n) per run merged.
 		p := in.pending
-		suffix := p[in.sorted:]
-		sortCross(suffix)
-		if in.sorted > 0 && crossLess(&suffix[0], &p[in.sorted-1]) {
-			in.mergeRuns()
+		for mid := in.sorted; mid < len(p); {
+			end := mid + 1
+			for end < len(p) && !crossLess(&p[end], &p[end-1]) {
+				end++
+			}
+			if mid > 0 && crossLess(&p[mid], &p[mid-1]) {
+				in.mergeRuns(p[:end], mid)
+			}
+			mid = end
 		}
 		head := p[0].At
 		if !in.timer.Pending() || head < in.armedAt {
@@ -153,21 +172,26 @@ func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 	return moved
 }
 
-// mergeRuns merges pending's sorted prefix [0:sorted) and sorted
-// suffix [sorted:] in place, backward, staging the suffix in the
-// reusable scratch buffer (suffix-sized — merges only pay for what the
-// barrier appended, not for the whole pending set).
-func (in *Inbox) mergeRuns() {
-	p := in.pending
-	in.scratch = append(in.scratch[:0], p[in.sorted:]...)
-	i, j := in.sorted-1, len(in.scratch)-1
-	for k := len(p) - 1; j >= 0; k-- {
-		if i >= 0 && crossLess(&in.scratch[j], &p[i]) {
-			p[k] = p[i]
-			i--
+// mergeRuns merges the sorted runs p[:s] and p[s:] in place. Only the
+// tail of the first run that sorts after p[s] has to move: it is staged
+// in the reusable scratch buffer and merged forward with the second
+// run, so a merge pays for the overlap, not for everything before it;
+// the rest of the second run is already in place once the staged tail
+// is. The caller guarantees p[s] sorts before p[s-1].
+func (in *Inbox) mergeRuns(p []CrossEntry, s int) {
+	j := s - 1
+	for j > 0 && crossLess(&p[s], &p[j-1]) {
+		j--
+	}
+	in.scratch = append(in.scratch[:0], p[j:s]...)
+	a, b := 0, s
+	for k := j; a < len(in.scratch); k++ {
+		if b < len(p) && crossLess(&p[b], &in.scratch[a]) {
+			p[k] = p[b]
+			b++
 		} else {
-			p[k] = in.scratch[j]
-			j--
+			p[k] = in.scratch[a]
+			a++
 		}
 	}
 }
@@ -183,49 +207,4 @@ func crossLess(a, b *CrossEntry) bool {
 		return a.Src < b.Src
 	}
 	return a.Seq < b.Seq
-}
-
-// sortCross sorts entries into canonical order in place without
-// allocating: sort.Slice builds a reflect-based swapper (two heap
-// objects) per call, and at one call per dirty inbox per window
-// barrier that dominated the windowed engine's allocation profile.
-// Pending batches are small most windows — insertion sort handles
-// those in near-linear time on the mostly-sorted appends — with an
-// in-place heapsort above the cutoff to keep worst-case incast
-// windows O(n log n).
-func sortCross(p []CrossEntry) {
-	if len(p) <= 24 {
-		for i := 1; i < len(p); i++ {
-			for j := i; j > 0 && crossLess(&p[j], &p[j-1]); j-- {
-				p[j], p[j-1] = p[j-1], p[j]
-			}
-		}
-		return
-	}
-	for i := len(p)/2 - 1; i >= 0; i-- {
-		siftCross(p, i)
-	}
-	for end := len(p) - 1; end > 0; end-- {
-		p[0], p[end] = p[end], p[0]
-		siftCross(p[:end], 0)
-	}
-}
-
-// siftCross restores the max-heap property below root i.
-func siftCross(p []CrossEntry, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(p) {
-			return
-		}
-		big := l
-		if r := l + 1; r < len(p) && crossLess(&p[l], &p[r]) {
-			big = r
-		}
-		if !crossLess(&p[i], &p[big]) {
-			return
-		}
-		p[i], p[big] = p[big], p[i]
-		i = big
-	}
 }

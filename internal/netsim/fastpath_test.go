@@ -131,7 +131,7 @@ func TestFastPathEnqueueDuringSerialization(t *testing.T) {
 	// The second packet starts exactly when the first finishes
 	// serializing, not earlier and not at its own enqueue time.
 	txFirst := (10 * Gbps).TxTime(1464)
-	wantAt := txFirst + (10*Gbps).TxTime(1064) + cfg.Delay
+	wantAt := txFirst + (10 * Gbps).TxTime(1064) + cfg.Delay
 	if kf.at[1] != wantAt {
 		t.Fatalf("second delivery at %v, want %v", kf.at[1], wantAt)
 	}
@@ -266,18 +266,67 @@ func TestFastPathINTStaysClassic(t *testing.T) {
 	}
 }
 
-// Cross-shard ports are forced classic regardless of config (DESIGN.md
-// §7.6: deposits must happen at serialize-complete so window barriers
-// merge them identically in both modes).
-func TestFastPathCrossPortForcedClassic(t *testing.T) {
+// A fused cross-shard port deposits at transmit start and runs no
+// local event: the outbox entry is due at txDone+Delay, the deferred
+// accounting settles through SettleTx like any fused port, and the
+// destination inbox delivers the packet at the due time. An INT cross
+// port keeps the classic chain and deposits from finishTx.
+func TestFastPathCrossPortDepositsAtStart(t *testing.T) {
+	const delay = 1 * sim.Microsecond
+	txDone := (10 * Gbps).TxTime(1064)
 	s := sim.NewScheduler()
-	p, _ := newTestPort(s, PortConfig{Delay: 1 * sim.Microsecond}, nil)
-	if !p.fast {
-		t.Fatal("plain port should be fast by default")
+	p, k := newTestPort(s, PortConfig{Delay: delay}, nil)
+	out := NewOutbox(0)
+	p.SetCross(out, 1)
+	pkt := DataPacket(1, 0, 1, 0, 1000, 0)
+	p.Enqueue(pkt)
+	s.Run()
+	if s.Executed != 0 {
+		t.Fatalf("uncongested fused cross port ran %d local events, want 0", s.Executed)
 	}
-	p.SetCross(&Outbox{}, 1)
-	if p.fast {
-		t.Fatal("cross-shard port must run the classic pipeline")
+	if len(out.entries) != 1 {
+		t.Fatalf("outbox holds %d entries, want 1", len(out.entries))
+	}
+	if e := out.entries[0]; e.At != txDone+delay || e.Pkt != pkt || e.Port != p || e.Dst != 1 {
+		t.Fatalf("deposit = %+v, want At=%v Dst=1 for the sent packet", e, txDone+delay)
+	}
+	p.SettleTx(txDone - 1)
+	if p.Stats.TxBytes != 0 {
+		t.Fatalf("TxBytes settled before serialize-complete: %+v", p.Stats)
+	}
+	p.SettleTx(txDone)
+	if p.Stats.TxBytes != 1064 || p.Stats.TxPackets != 1 || p.Stats.TxDataBytes != 1000 {
+		t.Fatalf("after SettleTx(txDone) stats = %+v", p.Stats)
+	}
+
+	// The destination shard's inbox delivers at the stamped time.
+	ds := sim.NewScheduler()
+	k.s = ds
+	in := NewInbox(ds)
+	if moved := MergeWindows([]*Outbox{out}, []*Inbox{NewInbox(s), in}); moved != 1 {
+		t.Fatalf("merged %d entries, want 1", moved)
+	}
+	ds.Run()
+	if len(k.pkts) != 1 || k.at[0] != txDone+delay {
+		t.Fatalf("inbox delivered %d packets at %v, want 1 at %v", len(k.pkts), k.at, txDone+delay)
+	}
+
+	s2 := sim.NewScheduler()
+	q, _ := newTestPort(s2, PortConfig{EnableINT: true, Delay: delay}, nil)
+	out2 := NewOutbox(0)
+	q.SetCross(out2, 1)
+	ipkt := DataPacket(2, 0, 1, 0, 1000, 0)
+	ipkt.INT = make([]INTHop, 0, 4)
+	q.Enqueue(ipkt)
+	if len(out2.entries) != 0 {
+		t.Fatal("INT cross port deposited at transmit start")
+	}
+	s2.Run()
+	if s2.Executed != 1 || len(out2.entries) != 1 || out2.entries[0].At != txDone+delay {
+		t.Fatalf("INT cross port: %d events, entries %+v; want finishTx alone depositing at %v", s2.Executed, out2.entries, txDone+delay)
+	}
+	if len(ipkt.INT) != 1 || q.Stats.TxBytes != 1064 {
+		t.Fatalf("INT cross port: INT hops %d, stats %+v", len(ipkt.INT), q.Stats)
 	}
 }
 
@@ -286,8 +335,8 @@ func TestFastPathCrossPortForcedClassic(t *testing.T) {
 // in-flight entry stays unsettled — so without the midstream compaction
 // in SettleTx the slice would grow with every packet transmitted. This
 // pins the bound: across thousands of back-to-back packets, the pend
-// queue stays O(settled prefix) (compaction trips once the settled head
-// passes 32 entries and half the slice), never O(packets).
+// queue stays O(in flight) (compaction trips once the settled head
+// reaches half the slice), never O(packets).
 func TestFastPathPendCompactionUnderSaturation(t *testing.T) {
 	s := sim.NewScheduler()
 	p, k := newTestPort(s, PortConfig{Delay: 1 * sim.Microsecond}, nil)
@@ -314,11 +363,11 @@ func TestFastPathPendCompactionUnderSaturation(t *testing.T) {
 	if maxLen == 0 {
 		t.Fatal("pend queue never held an entry; the port did not take the fused path")
 	}
-	// The compaction threshold (settled head > 32 and >= half the slice)
-	// bounds the slice at ~2x the trip point; anything near n means the
-	// compaction regressed.
-	if maxLen > 128 {
-		t.Fatalf("pend queue peaked at %d entries over %d packets; compaction is not holding the O(settled prefix) bound", maxLen, n)
+	// The compaction threshold (settled head >= half the slice) bounds
+	// the slice at ~2x the in-flight count (Delay/TxTime, about 1 here);
+	// anything much larger means the compaction regressed.
+	if maxLen > 8 {
+		t.Fatalf("pend queue peaked at %d entries over %d packets; compaction is not holding the O(in flight) bound", maxLen, n)
 	}
 	p.SettleTx(s.Now())
 	if len(p.pend) != 0 || p.pendHead != 0 {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ppt/internal/sim"
 )
@@ -140,15 +141,6 @@ type PortConfig struct {
 	// hatch and A/B baseline); INT-enabled ports always run the classic
 	// path because INTHop samples queue state at tx-complete.
 	NoFastPath bool
-
-	// LegacyPipeline restores the pre-fusion pipeline wholesale:
-	// finishTx arms the delivery and pops the next packet inline, with
-	// no resume events and no startTx-armed delivery. Partitioned
-	// fabrics set it on every port (topo.LeafSpine): the fast path
-	// never engages there, so they skip the deferred-pop bookkeeping
-	// the fused/off A-B needs on monolithic fabrics and keep the old
-	// per-packet event count. Implies NoFastPath.
-	LegacyPipeline bool
 }
 
 // PortStats are the monotonically increasing counters a port maintains;
@@ -177,6 +169,9 @@ type Port struct {
 	pool    *BufferPool
 	pktPool *PacketPool
 	queues  [NumPriorities]pktRing
+	// nonEmpty has bit i set iff queues[i] holds a packet, so pop finds
+	// the highest-priority backlog in one instruction.
+	nonEmpty uint8
 
 	bytesQueued [NumPriorities]int64
 	totalQueued int64
@@ -204,7 +199,6 @@ type Port struct {
 	// packet; a packet queued behind it arms one resume timer at
 	// busyUntil, which pops in exact slow-path (strict priority) order.
 	fast        bool
-	legacy      bool
 	busyUntil   sim.Time
 	resume      sim.Timer
 	onResume    func()
@@ -213,10 +207,11 @@ type Port struct {
 	pendHead    int
 
 	// cross, when set, marks the wire as crossing a shard boundary in a
-	// partitioned fabric: finished transmissions are deposited into the
-	// outbox (due at now+Delay) instead of propagating through the local
+	// partitioned fabric: transmissions are deposited into the outbox
+	// (due at txDone+Delay) instead of propagating through the local
 	// scheduler, and the destination shard's Inbox calls deliverCross at
-	// the due time. crossDst is the peer device's shard.
+	// the due time. Fused ports deposit at transmit start, classic (INT)
+	// ports at serialize-complete. crossDst is the peer device's shard.
 	cross    *Outbox
 	crossDst int32
 
@@ -252,8 +247,7 @@ func NewPort(name string, s *sim.Scheduler, cfg PortConfig, peer Device, pool *B
 	p.lossState = cfg.LossSeed*2654435761 + 0x9e3779b97f4a7c15
 	p.onTx = p.finishTx
 	p.onRecv = p.deliver
-	p.legacy = cfg.LegacyPipeline
-	p.fast = !cfg.NoFastPath && !cfg.EnableINT && !p.legacy
+	p.fast = !cfg.NoFastPath && !cfg.EnableINT
 	p.onResume = p.resumeTx
 	p.onFusedRecv = p.deliverFused
 	if pool != nil {
@@ -434,6 +428,7 @@ func (p *Port) mark(pkt *Packet) {
 func (p *Port) push(pkt *Packet) {
 	prio := pkt.Prio
 	p.queues[prio].push(pkt)
+	p.nonEmpty |= 1 << prio
 	n := int64(pkt.WireLen)
 	p.bytesQueued[prio] += n
 	p.totalQueued += n
@@ -463,16 +458,6 @@ func (p *Port) drop(pkt *Packet) {
 // order a pure function of the physical schedule rather than of which
 // mode armed which bookkeeping event (DESIGN.md §7.6).
 func (p *Port) kick() {
-	if p.legacy {
-		// Pre-fusion behaviour: a busy transmitter just leaves the
-		// packet queued; finishTx pops inline.
-		if p.txPkt == nil {
-			if pkt := p.pop(); pkt != nil {
-				p.startTx(pkt)
-			}
-		}
-		return
-	}
 	if p.resume.Pending() {
 		return
 	}
@@ -495,18 +480,13 @@ func (p *Port) kick() {
 // transmit-side effects (accounting, INT, wire push / cross deposit);
 // the fast path defers the accounting into pend (settled lazily — see
 // SettleTx) and pushes/deposits immediately, so the delivery is the
-// packet's only event.
+// packet's only event — and a fused cross-shard port, whose delivery
+// the destination shard's Inbox runs, schedules no local event at all.
 func (p *Port) startTx(pkt *Packet) {
 	now := p.sched.Now()
 	txTime := p.cfg.Rate.TxTime(int(pkt.WireLen))
 	txDone := now + txTime
 	p.busyUntil = txDone
-	if p.legacy {
-		// Pre-fusion chain: finishTx arms the delivery and pops.
-		p.txPkt = pkt
-		p.sched.After(txTime, p.onTx)
-		return
-	}
 	if !p.fast {
 		p.txPkt = pkt
 		p.sched.After(txTime, p.onTx)
@@ -517,7 +497,8 @@ func (p *Port) startTx(pkt *Packet) {
 		// Settle strictly behind now before appending: every earlier
 		// entry has txDone <= now here (back-to-back starts happen at
 		// the previous packet's serialize-complete), so pend stays O(1).
-		// Cross-shard ports never take this branch (see SetCross).
+		// A cross-shard port has no local delivery event, so apart from
+		// pool and sampler reads this is where its entries settle.
 		if p.pendHead < len(p.pend) {
 			p.SettleTx(now - 1)
 		}
@@ -529,8 +510,12 @@ func (p *Port) startTx(pkt *Packet) {
 			}
 		}
 		p.pend = append(p.pend, pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh})
-		p.wire.push(pkt)
-		p.sched.At(txDone+p.cfg.Delay, p.onFusedRecv)
+		if p.cross != nil {
+			p.cross.deposit(txDone+p.cfg.Delay, pkt, p, p.crossDst)
+		} else {
+			p.wire.push(pkt)
+			p.sched.At(txDone+p.cfg.Delay, p.onFusedRecv)
+		}
 	}
 	if p.totalQueued > 0 && !p.resume.Pending() {
 		p.resume = p.sched.At(txDone, p.onResume)
@@ -548,12 +533,10 @@ func (p *Port) resumeTx() {
 }
 
 // finishTx is the classic path's serialize-complete event: transmit
-// accounting, INT append, and handing the packet to its wire (the
-// delivery event was already armed at transmit start). Popping the next
-// packet is not its job in either fused-capable mode — that goes
-// through the resume timer (see kick). Legacy-pipeline ports instead
-// arm the delivery and pop inline here, reproducing the pre-fusion
-// engine exactly.
+// accounting, INT append, and handing the packet to its wire (whose
+// delivery event was already armed at transmit start) or, on a
+// cross-shard port, to the outbox. Popping the next packet is not its job —
+// that goes through the resume timer (see kick).
 func (p *Port) finishTx() {
 	pkt := p.txPkt
 	p.txPkt = nil
@@ -581,16 +564,6 @@ func (p *Port) finishTx() {
 		p.cross.deposit(p.sched.Now()+p.cfg.Delay, pkt, p, p.crossDst)
 	} else {
 		p.wire.push(pkt)
-		if p.legacy {
-			p.sched.At(p.sched.Now()+p.cfg.Delay, p.onRecv)
-		}
-	}
-	if p.legacy {
-		// Pre-fusion inline pop, in the old arming order (delivery
-		// first, then the next packet's serialize-complete event).
-		if nxt := p.pop(); nxt != nil {
-			p.startTx(nxt)
-		}
 	}
 }
 
@@ -641,13 +614,16 @@ func (p *Port) SettleTx(limit sim.Time) {
 	if i == len(p.pend) {
 		p.pend = p.pend[:0]
 		p.pendHead = 0
-	} else if i > 32 && 2*i >= len(p.pend) {
+	} else if 2*i >= len(p.pend) {
 		// Compact once the settled prefix dominates: a port that stays
 		// busy for a long stretch never fully drains pend (each delivery
 		// settles through its own txDone while later packets keep
 		// appending), and without this the slice would grow with every
 		// packet sent — O(run length) memory on a saturated port instead
-		// of O(Delay/TxTime) in-flight entries.
+		// of O(Delay/TxTime) in-flight entries. The copy moves at most
+		// as many entries as were settled since the last compaction, and
+		// compacting this early keeps the slice at about twice the
+		// in-flight count instead of letting it grow to a fixed floor.
 		n := copy(p.pend, p.pend[i:])
 		p.pend = p.pend[:n]
 		p.pendHead = 0
@@ -678,18 +654,15 @@ func (p *Port) SettleTx(limit sim.Time) {
 // partitioned fabric, routing transmissions through the outbox (see
 // cross.go). Called by topo builders only.
 //
-// Cross-boundary ports always run the classic pipeline: the inbox
-// delivery timer's position among same-instant events depends on which
-// window barrier merged each deposit, so deposits must happen at
-// serialize-complete (finishTx) exactly as in -fastpath=off — a
-// transmit-start deposit can merge one barrier earlier and flip
-// same-instant tie order in the destination shard (DESIGN.md §7.6).
-// The fused win was marginal here anyway: a cross wire has no local
-// delivery event, so classic is already one event per packet.
+// A fused cross port deposits at transmit start, due at txDone+Delay,
+// and defers its accounting in pend like any fused port, so an
+// uncongested packet costs its shard no event. The deposit is still
+// conservative: the due time is at least now+Delay, at or past the
+// destination shard's horizon. An INT port keeps the classic chain and
+// deposits from finishTx.
 func (p *Port) SetCross(o *Outbox, dstShard int) {
 	p.cross = o
 	p.crossDst = int32(dstShard)
-	p.fast = false
 }
 
 // deliverCross hands a cross-shard packet to the peer at its stamped
@@ -701,18 +674,20 @@ func (p *Port) deliverCross(pkt *Packet) {
 // pop removes and returns the head of the highest-priority nonempty
 // queue, or nil.
 func (p *Port) pop() *Packet {
-	for prio := 0; prio < NumPriorities; prio++ {
-		if p.queues[prio].len() == 0 {
-			continue
-		}
-		pkt := p.queues[prio].pop()
-		n := int64(pkt.WireLen)
-		p.bytesQueued[prio] -= n
-		p.totalQueued -= n
-		if p.isLow(int8(prio)) {
-			p.lowQueued -= n
-		}
-		return pkt
+	if p.nonEmpty == 0 {
+		return nil
 	}
-	return nil
+	prio := bits.TrailingZeros8(p.nonEmpty)
+	q := &p.queues[prio]
+	pkt := q.pop()
+	if q.len() == 0 {
+		p.nonEmpty &^= 1 << prio
+	}
+	n := int64(pkt.WireLen)
+	p.bytesQueued[prio] -= n
+	p.totalQueued -= n
+	if p.isLow(int8(prio)) {
+		p.lowQueued -= n
+	}
+	return pkt
 }

@@ -9,14 +9,15 @@ type Switch struct {
 	name  string
 	salt  uint32
 	ports []*Port
-	// routes maps destination host id -> candidate egress port indexes.
-	routes map[int32][]int
+	// routes is indexed by destination host id (ids are dense, 0..n-1)
+	// and holds the candidate egress ports; an empty entry is no route.
+	routes [][]*Port
 }
 
 // NewSwitch creates a switch with no ports; topo builders attach ports
 // and install routes.
 func NewSwitch(name string, salt uint32) *Switch {
-	return &Switch{name: name, salt: salt, routes: make(map[int32][]int)}
+	return &Switch{name: name, salt: salt}
 }
 
 // Name implements Device.
@@ -34,14 +35,23 @@ func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 // Ports returns all egress ports.
 func (sw *Switch) Ports() []*Port { return sw.ports }
 
-// AddRoute appends candidate egress ports for a destination host.
+// AddRoute appends candidate egress ports (by index) for a destination
+// host.
 func (sw *Switch) AddRoute(dst int32, portIdx ...int) {
-	sw.routes[dst] = append(sw.routes[dst], portIdx...)
+	for int(dst) >= len(sw.routes) {
+		sw.routes = append(sw.routes, nil)
+	}
+	for _, i := range portIdx {
+		sw.routes[dst] = append(sw.routes[dst], sw.ports[i])
+	}
 }
 
 // Receive implements Device: route, ECMP-hash, enqueue.
 func (sw *Switch) Receive(pkt *Packet) {
-	cands := sw.routes[pkt.Dst]
+	var cands []*Port
+	if uint(pkt.Dst) < uint(len(sw.routes)) {
+		cands = sw.routes[pkt.Dst]
+	}
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d", sw.name, pkt.Dst))
 	}
@@ -50,7 +60,7 @@ func (sw *Switch) Receive(pkt *Packet) {
 	if len(cands) > 1 {
 		idx = int(ecmpHash(pkt.FlowID, sw.salt) % uint32(len(cands)))
 	}
-	sw.ports[cands[idx]].Enqueue(pkt)
+	cands[idx].Enqueue(pkt)
 }
 
 // ecmpHash spreads flows over equal-cost paths. The low-loop bit is not

@@ -48,12 +48,9 @@ type Config struct {
 	LossProb float64
 
 	// NoFastPath disables the cut-through fused port pipeline on every
-	// port (the -fastpath=off escape hatch; see netsim.PortConfig).
+	// port of a monolithic fabric (the -fastpath=off escape hatch; see
+	// netsim.PortConfig). Partitioned fabrics ignore it.
 	NoFastPath bool
-
-	// LegacyPipeline runs every port on the pre-fusion inline pipeline
-	// (set by LeafSpine when partitioning; see netsim.PortConfig).
-	LegacyPipeline bool
 
 	// Sched selects the event-queue implementation of the fabric's
 	// scheduler (timing wheel by default, min-heap for A/B runs). Both
@@ -205,7 +202,6 @@ func (c Config) switchPortCfg(rate netsim.Rate) netsim.PortConfig {
 		DynamicLowThreshold: c.DynamicLowThreshold,
 		LossProb:            c.LossProb,
 		NoFastPath:          c.NoFastPath,
-		LegacyPipeline:      c.LegacyPipeline,
 	}
 }
 
@@ -218,11 +214,10 @@ func (c Config) nicCfg(rate netsim.Rate) netsim.PortConfig {
 	return netsim.PortConfig{
 		Rate:       rate,
 		Delay:      c.LinkDelay,
-		EnableINT:      c.EnableINT,
-		ECNHighK:       c.ECNHighK,
-		ECNLowK:        c.ECNLowK,
-		NoFastPath:     c.NoFastPath,
-		LegacyPipeline: c.LegacyPipeline,
+		EnableINT:  c.EnableINT,
+		ECNHighK:   c.ECNHighK,
+		ECNLowK:    c.ECNLowK,
+		NoFastPath: c.NoFastPath,
 	}
 }
 
@@ -274,6 +269,14 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = 1 * sim.Microsecond
 	}
+	if cfg.Shards >= 1 {
+		// Partitioned fabrics always run the fused pipeline on non-INT
+		// ports, cross-shard wires included (netsim.Port.SetCross): the
+		// -fastpath=off chain would arm different events, and with them
+		// different window horizons, so honouring it here would make the
+		// flag outcome-visible (DESIGN.md §7.6).
+		cfg.NoFastPath = false
+	}
 	net := &Network{Cfg: cfg, BottleneckRate: cfg.HostRate}
 	if cfg.CoreRate < cfg.HostRate {
 		net.BottleneckRate = cfg.CoreRate
@@ -286,18 +289,6 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 	var part *Partition
 	var mono *sim.Scheduler
 	if cfg.Shards >= 1 {
-		// Partitioned fabrics run the pre-fusion legacy pipeline on
-		// every port: the windowed engine's inbox delivery timers get
-		// their same-instant position from *when* each window barrier
-		// merged the deposits, and the window trajectory is a function
-		// of each shard's pending event set — which event fusion
-		// changes. Forcing the legacy pipeline keeps outcomes identical
-		// whichever -fastpath setting built the run, and skips the
-		// deferred-pop resume events the fused/off A-B needs on
-		// monolithic fabrics (DESIGN.md §7.6); the fused path's win
-		// targets the monolithic fabrics.
-		cfg.LegacyPipeline = true
-		net.Cfg.LegacyPipeline = true
 		n := leaves + spines
 		part = &Partition{
 			N:         n,
