@@ -25,8 +25,8 @@
 //
 // When the fresh file carries a scale family, the gate additionally
 // checks allocation growth over each 10× pair — scale3k→scale30k
-// (materialized workload, pooled flow/endpoint lifecycle) and
-// scale100k→scale1M (streamed workload, spilling FCT collector): the
+// (fig12 workload, pooled flow/endpoint lifecycle) and
+// scale100k→scale1M (Memcached W1, spilling FCT collector): the
 // big run must not allocate more than -scale-growth times its small
 // partner. Exceeding the factor means per-flow allocation crept back
 // in.
@@ -187,9 +187,9 @@ func main() {
 	}
 
 	// Sub-linear allocation-growth gates over the fresh scale families:
-	// the materialized pair (scale3k/scale30k) guards the pooled
-	// flow/endpoint lifecycle, the streamed pair (scale100k/scale1M)
-	// additionally guards the lazy-FlowSource + spilling-collector path.
+	// the fig12 pair (scale3k/scale30k) guards the pooled flow/endpoint
+	// lifecycle and the lazy FlowSource, the spilled pair
+	// (scale100k/scale1M) additionally guards the spilling collector.
 	// Each big run spans 10× its small partner's flows, so staying under
 	// the factor means per-flow allocation stays bounded.
 	growthFailed := 0

@@ -122,15 +122,3 @@ func Experiment(dist *workload.Dist, app AppModel, threshold, sendBuf int64, flo
 	}
 	return res
 }
-
-// AssignFirstCalls fills in the first-syscall size for a batch of flow
-// sizes, for wiring workloads into transports that consume
-// transport.SimpleFlow.FirstCall.
-func AssignFirstCalls(sizes []int64, app AppModel, sendBuf int64, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int64, len(sizes))
-	for i, sz := range sizes {
-		out[i] = app.FirstCall(rng, sz, sendBuf)
-	}
-	return out
-}

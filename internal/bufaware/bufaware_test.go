@@ -82,20 +82,6 @@ func TestSmallBufferNeverFlagsBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestAssignFirstCalls(t *testing.T) {
-	sizes := []int64{100, 200_000, 3_000_000}
-	fc := AssignFirstCalls(sizes, Bulk, 1<<30, 1)
-	for i, f := range fc {
-		if f != sizes[i] {
-			t.Fatalf("bulk first call %d = %d", i, f)
-		}
-	}
-	capped := AssignFirstCalls(sizes, Bulk, 16_384, 1)
-	if capped[0] != 100 || capped[1] != 16_384 || capped[2] != 16_384 {
-		t.Fatalf("capped = %v", capped)
-	}
-}
-
 // Property: first call never exceeds message size or buffer space, and
 // is always positive for positive messages.
 func TestPropertyFirstCallBounds(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package cache is a deterministic, content-addressed result cache for
-// experiment cells. Nine PRs of engine work made every simulation cell a
-// pure function of its outcome-relevant inputs — byte-identical across
-// scheduler implementation, shard count, worker count, streaming, and
-// spill (pinned by the golden matrix). This package banks that
+// experiment cells. Every simulation cell is a pure function of its
+// outcome-relevant inputs — byte-identical across shard count, worker
+// count, spill and fast path (pinned by the golden matrix and the
+// differentials). This package banks that
 // guarantee: a cell's result is stored under the SHA-256 of a canonical,
 // versioned encoding of those inputs plus a code epoch, so a repeated
 // sweep replays from disk instead of recomputing ~10^7 events per cell.
@@ -11,9 +11,8 @@
 //
 //   - Keys are built by the caller (internal/exp) from outcome-relevant
 //     fields only; engine knobs that the golden matrix proves invisible
-//     (sched, shards, stream, spill chunk, parallelism, fastpath) are
-//     excluded, so a result computed on one engine configuration hits on
-//     every other.
+//     (shards, spill chunk, parallelism, fastpath) are excluded, so a
+//     result computed on one engine configuration hits on every other.
 //   - Values are stats.Summary plus the row's extra metrics, encoded
 //     with float64s as raw IEEE-754 bits — no JSON round-trip, so NaN
 //     payloads and negative zero survive and a byte-compare of two

@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +181,9 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 		{"flipped-payload-bit", func(b []byte) []byte { b[headerLen+3] ^= 0x01; return b }},
 		{"flipped-crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
 		{"trailing-junk", func(b []byte) []byte { return append(b, 0xaa, 0xbb) }},
+		// A valid frame and CRC around an extras count far beyond what
+		// the payload can hold: must fail before sizing the map by it.
+		{"huge-extra-count", func(b []byte) []byte { return withExtraCount(b, 30_000_000) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,6 +204,73 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withExtraCount rewrites the nExtra field of an encoded record and
+// re-seals the CRC, so only decodePayload can catch the lie.
+func withExtraCount(rec []byte, n uint32) []byte {
+	payload := rec[headerLen : len(rec)-4]
+	binary.LittleEndian.PutUint32(payload[8*8+1:], n)
+	binary.LittleEndian.PutUint32(rec[len(rec)-4:], crc32.Checksum(payload, castagnoli))
+	return rec
+}
+
+// TestDecodeBoundsExtraCount pins the allocation guard: a count the
+// remaining bytes cannot hold is rejected as such, before any map is
+// sized by it (a 30M count used to size a 30M-entry map, then fail
+// with "truncated extra #0").
+func TestDecodeBoundsExtraCount(t *testing.T) {
+	var key Key
+	rec := withExtraCount(encodeRecord(schemaVersion, key, sampleValue()), 30_000_000)
+	_, err := decodeRecord(rec, key)
+	if err == nil || !strings.Contains(err.Error(), "claims 30000000 extras") {
+		t.Fatalf("oversized extras count: err = %v", err)
+	}
+	// The largest count the bytes could hold still parses up to the
+	// first malformed extra; one more is refused outright.
+	payload := encodePayload(Value{Extra: map[string]float64{"ten-bytes!": 1}})
+	rest := len(payload) - (8*8 + 1 + 4)
+	binary.LittleEndian.PutUint32(payload[8*8+1:], uint32(rest/minExtraLen))
+	if _, err := decodePayload(payload); err == nil || strings.Contains(err.Error(), "claims") {
+		t.Fatalf("count at the bound: err = %v, want a per-extra error", err)
+	}
+	binary.LittleEndian.PutUint32(payload[8*8+1:], uint32(rest/minExtraLen+1))
+	if _, err := decodePayload(payload); err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Fatalf("count past the bound: err = %v", err)
+	}
+}
+
+// FuzzDecodeRecord feeds arbitrary bytes to the entry decoder, both
+// framed (decodeRecord, keyed by whatever key the bytes carry) and bare
+// (decodePayload, which the CRC would otherwise shield from most
+// mutations). Any input must decode or return an error, never panic;
+// an accepted payload must re-decode from its own encoding unchanged.
+func FuzzDecodeRecord(f *testing.F) {
+	var key Key
+	for _, v := range []Value{sampleValue(), {}, {Extra: map[string]float64{"": math.Copysign(0, -1)}}} {
+		rec := encodeRecord(schemaVersion, key, v)
+		f.Add(rec)
+		f.Add(rec[headerLen : len(rec)-4])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want Key
+		if len(data) >= len(magic)+2+len(want) {
+			copy(want[:], data[len(magic)+2:])
+		}
+		decodeRecord(data, want)
+		v, err := decodePayload(data)
+		if err != nil {
+			return
+		}
+		enc := encodePayload(v)
+		again, err := decodePayload(enc)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if !bytes.Equal(encodePayload(again), enc) {
+			t.Fatalf("payload round trip changed the value:\n%+v\n%+v", v, again)
+		}
+	})
 }
 
 func TestWrongKeyFileReadAsMiss(t *testing.T) {

@@ -45,6 +45,7 @@ const (
 	fileSuffix    = ".c1"
 	magic         = "PPTC"
 	headerLen     = len(magic) + 2 + 32 + 4
+	minExtraLen   = 2 + 8 // u16 key length + u64 value, empty key
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -140,6 +141,12 @@ func decodePayload(buf []byte) (Value, error) {
 	}
 	nExtra := binary.LittleEndian.Uint32(buf[pos:])
 	pos += 4
+	// Checking the count against what is left bounds the map
+	// allocation by the payload size, so a corrupt count fails here
+	// instead of reserving gigabytes first.
+	if rest := len(buf) - pos; uint64(nExtra) > uint64(rest/minExtraLen) {
+		return Value{}, fmt.Errorf("payload claims %d extras in %d bytes", nExtra, rest)
+	}
 	if nExtra > 0 {
 		v.Extra = make(map[string]float64, nExtra)
 	}

@@ -14,12 +14,11 @@ import (
 // This file builds the canonical cell descriptors the result cache
 // hashes into content addresses (DESIGN.md §7.8). The ground rule:
 // a descriptor names every input that can change a cell's Summary or
-// extras, and nothing else. Engine knobs — scheduler implementation,
-// shard count, worker count, streaming, spill chunk, fast path — are
-// deliberately ABSENT: nine PRs of golden-matrix pinning prove them
-// outcome-invisible, so a result computed at -shards=4 -sched=heap
-// must hit when replayed at -shards=1 -sched=wheel. That exclusion is
-// itself pinned by TestCacheKeyExcludesEngineKnobs.
+// extras, and nothing else. Engine knobs — shard count, worker count,
+// spill chunk, fast path — are deliberately ABSENT: the golden matrix
+// pins them outcome-invisible, so a result computed at -shards=4
+// -parallel=4 must hit when replayed at -shards=1 -parallel=1. That
+// exclusion is itself pinned by TestCacheKeyExcludesEngineKnobs.
 //
 // Scheme-name invariant: a scheme's name uniquely determines its
 // protocol constructor and parameters (ablation variants carry
@@ -35,7 +34,6 @@ import (
 // field changes every descriptor, which safely invalidates (keys just
 // stop matching old entries).
 func canonCfg(cfg topo.Config) string {
-	cfg.Sched = 0
 	cfg.Shards = 0
 	cfg.NoFastPath = false
 	return fmt.Sprintf("%+v", cfg)

@@ -18,9 +18,8 @@ func testExpCache(t *testing.T) *cache.Cache {
 }
 
 // TestCacheKeyExcludesEngineKnobs pins the key construction contract:
-// the engine knobs the golden matrix proves outcome-invisible (sched,
-// shards, stream, spill chunk, fast path) MUST NOT reach the cell
-// descriptor, while every outcome-relevant input MUST.
+// the engine knobs the golden matrix proves outcome-invisible (shards,
+// spill chunk, fast path) MUST NOT reach the cell descriptor, while every outcome-relevant input MUST.
 func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	base := runSpec{
 		fab: simFabric(3, 2, 8), sc: baseSchemes()["ppt"],
@@ -31,9 +30,7 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 
 	// Outcome-invisible: descriptor unchanged.
 	invisible := map[string]func(*runSpec){
-		"sched":      func(s *runSpec) { s.sched = 1 },
 		"shards":     func(s *runSpec) { s.shards = 4 },
-		"stream":     func(s *runSpec) { s.stream = true },
 		"spillChunk": func(s *runSpec) { s.spillChunk = 1 << 14 },
 		"noFastPath": func(s *runSpec) { s.noFastPath = true },
 	}
@@ -75,29 +72,28 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 }
 
 // TestCacheCrossEngineHit is the acceptance criterion: a cell computed
-// at -sched=heap -shards=1 must HIT when replayed at -sched=wheel
-// -shards=4 -stream, with byte-identical rendered output. This is the
-// cache banking the golden matrix's engine-equivalence guarantee.
+// at -shards=1 -parallel=1 must HIT when replayed at -shards=4
+// -parallel=4, with byte-identical rendered output. This is the cache
+// banking the golden matrix's engine-equivalence guarantee.
 func TestCacheCrossEngineHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig12 twice")
 	}
 	c := testExpCache(t)
-	run := func(sched string, shards, parallel int, stream bool) (*Result, string) {
+	run := func(shards, parallel int) (*Result, string) {
 		res, err := RunByID("fig12", Options{
-			Flows: 24, Seed: 1, Cache: c,
-			Sched: sched, Shards: shards, Parallel: parallel, Stream: stream,
+			Flows: 24, Seed: 1, Cache: c, Shards: shards, Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, res.Render() + "\n--- csv ---\n" + res.CSV()
 	}
-	cold, coldOut := run("heap", 1, 1, false)
+	cold, coldOut := run(1, 1)
 	if cold.Cache == nil || cold.Cache.Misses == 0 || cold.Cache.Hits != 0 {
 		t.Fatalf("cold run cache stats: %+v", cold.Cache)
 	}
-	warm, warmOut := run("wheel", 4, 4, true)
+	warm, warmOut := run(4, 4)
 	if warm.Cache == nil {
 		t.Fatal("warm run reported no cache stats")
 	}
@@ -159,8 +155,8 @@ func TestCacheReplaysExtras(t *testing.T) {
 
 // TestCacheVerifyMatrix runs a warm cache in verify mode across the
 // engine matrix: every hit recomputes and byte-compares against the
-// stored entry. Any divergence — cross-scheduler, cross-shard-count,
-// cross-worker-count — fails here before it can poison a sweep.
+// stored entry. Any divergence — cross-shard-count, cross-worker-count
+// — fails here before it can poison a sweep.
 func TestCacheVerifyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig12 across the engine matrix")
@@ -170,25 +166,22 @@ func TestCacheVerifyMatrix(t *testing.T) {
 	if _, err := RunByID("fig12", o); err != nil {
 		t.Fatal(err)
 	}
-	for _, combo := range []struct {
-		sched            string
-		shards, parallel int
-	}{
-		{"heap", 1, 1},
-		{"wheel", 4, 1},
-		{"heap", 4, 4},
-		{"wheel", 2, 4},
+	for _, combo := range []struct{ shards, parallel int }{
+		{1, 1},
+		{4, 1},
+		{4, 4},
+		{2, 4},
 	} {
 		v := o
-		v.Sched, v.Shards, v.Parallel = combo.sched, combo.shards, combo.parallel
+		v.Shards, v.Parallel = combo.shards, combo.parallel
 		v.CacheVerify = true
 		res, err := RunByID("fig12", v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Cache.Mismatches != 0 {
-			t.Fatalf("verify mismatch at sched=%s shards=%d parallel=%d: %+v\nnotes: %v",
-				combo.sched, combo.shards, combo.parallel, res.Cache, res.Notes)
+			t.Fatalf("verify mismatch at shards=%d parallel=%d: %+v\nnotes: %v",
+				combo.shards, combo.parallel, res.Cache, res.Notes)
 		}
 		if res.Cache.Verified == 0 {
 			t.Fatalf("verify mode did not verify anything at %+v: %+v", combo, res.Cache)

@@ -4,17 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"ppt/internal/sim"
 	"ppt/internal/workload"
 )
 
 // TestShardedDifferential is the randomized equivalence proof for the
 // conservative windowed engine (DESIGN.md §7.3): for a batch of
 // randomly drawn (scheme, flows, load, seed) cells on the
-// oversubscribed leaf-spine fabric, every combination of shard hint
-// (worker count) and event-queue implementation must produce an
-// identical summary and identical efficiency counters — the
-// determinism claim behind `-shards` being a pure performance knob.
+// oversubscribed leaf-spine fabric, every shard hint (worker count)
+// must produce an identical summary and identical efficiency counters —
+// the determinism claim behind `-shards` being a pure performance knob.
 // One alternative also sets noFastPath: partitioned fabrics must ignore
 // -fastpath=off, which is what lets the cache key exclude the flag.
 // The workload is sized so the compared runs execute well over two
@@ -44,7 +42,7 @@ func TestShardedDifferential(t *testing.T) {
 	trials := 4
 	if raceEnabled {
 		// The race detector slows these memory-heavy cells 10-20x; one
-		// trial still exercises every (shards, sched) combination below
+		// trial still exercises every engine setting below
 		// on tens of millions of events and keeps `go test -race ./...`
 		// inside the default package timeout.
 		trials = 1
@@ -62,7 +60,6 @@ func TestShardedDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		base.sched = sim.Wheel
 		baseSum, baseEnv := execute(base)
 		totalEvents += baseEnv.Net.Executed()
 		if baseEnv.Net.Part == nil {
@@ -71,28 +68,25 @@ func TestShardedDifferential(t *testing.T) {
 
 		for _, v := range []struct {
 			shards     int
-			sched      sim.Impl
 			noFastPath bool
 		}{
-			{2, sim.Wheel, false},
-			{4, sim.Heap, false},
-			{8, sim.Wheel, false},
-			{1, sim.Heap, false},
-			{4, sim.Wheel, true},
+			{2, false},
+			{4, false},
+			{8, false},
+			{4, true},
 		} {
 			alt := spec
 			alt.shards = v.shards
-			alt.sched = v.sched
 			alt.noFastPath = v.noFastPath
 			altSum, altEnv := execute(alt)
 			totalEvents += altEnv.Net.Executed()
 			if baseSum != altSum {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v noFastPath=%v summary diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, v.noFastPath, baseSum, altSum)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d noFastPath=%v summary diverged from shards=1\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.noFastPath, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v noFastPath=%v efficiency counters diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, v.noFastPath, baseEnv.Eff, altEnv.Eff)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d noFastPath=%v efficiency counters diverged from shards=1\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.noFastPath, baseEnv.Eff, altEnv.Eff)
 			}
 		}
 	}

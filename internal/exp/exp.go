@@ -1,9 +1,9 @@
 // Package exp contains one registered experiment per table and figure in
 // the paper's evaluation, each reproducible from the pptsim CLI or the
 // root bench harness. Experiments build a fresh fabric per scheme,
-// generate a workload, run it to completion, and report the paper's FCT
-// breakdown (overall average, small-flow average/p99, large-flow
-// average) plus experiment-specific extras.
+// stream a generated workload through it to completion, and report the
+// paper's FCT breakdown (overall average, small-flow average/p99,
+// large-flow average) plus experiment-specific extras.
 package exp
 
 import (
@@ -42,11 +42,6 @@ type Options struct {
 	// OnProgress, when set, observes each completed cell as (done,
 	// total). Calls are serialized but may come from worker goroutines.
 	OnProgress func(done, total int)
-	// Sched selects the event-queue implementation every cell's
-	// scheduler uses: "wheel" (default, also ""), or "heap". Results are
-	// byte-identical either way (pinned by the golden tests); the knob
-	// exists for perf A/Bs. Validated by RunByID.
-	Sched string
 	// Shards sets the logical shard count hint for partitionable
 	// fabrics (0 = default 1). On leaf-spine fabrics running shardable
 	// protocols it enables the conservative windowed engine and caps the
@@ -55,14 +50,6 @@ type Options struct {
 	// golden matrix). Star/dumbbell fabrics and non-shardable protocols
 	// ignore it. Validated by RunByID.
 	Shards int
-	// Stream feeds every cell's workload through a lazy FlowSource —
-	// flows are generated (and assigned their first-syscall size) one at
-	// a time as the simulation consumes them — instead of materializing
-	// the whole trace up front. Results are byte-identical to the
-	// materialized path at every engine setting (pinned by the streamed
-	// golden test); the knob exists so million-flow workloads cost one
-	// flow of memory, not the trace.
-	Stream bool
 	// StrictShards makes a Shards > 1 request on a fabric that cannot
 	// partition (single-switch star/dumbbell topologies) fail the cell
 	// with a clear error instead of silently running monolithic. The
@@ -143,17 +130,6 @@ func (o Options) withDefaults(defFlows int) Options {
 		o.sharding = &shardAgg{}
 	}
 	return o
-}
-
-// schedImpl maps the validated Sched option onto the engine selector.
-func (o Options) schedImpl() sim.Impl {
-	impl, err := sim.ParseImpl(o.Sched)
-	if err != nil {
-		// RunByID rejects bad values before any cell runs; reaching this
-		// from elsewhere is a programming error.
-		panic(err)
-	}
-	return impl
 }
 
 // addEvents folds one scheduler's executed-event count into the
@@ -372,9 +348,6 @@ func splitNat(s string) (string, int) {
 func RunByID(id string, o Options) (*Result, error) {
 	e, err := Get(id)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := sim.ParseImpl(o.Sched); err != nil {
 		return nil, err
 	}
 	if o.Shards < 0 {

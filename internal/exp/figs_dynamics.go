@@ -54,9 +54,7 @@ func init() {
 // illustration.
 func runDynamics(o Options) *Result {
 	fab := testbedFabric()
-	cfg := fab.cfg
-	cfg.Sched = o.schedImpl()
-	net := fab.build(cfg)
+	net := fab.build(fab.cfg)
 	env := transport.NewEnv(net)
 	env.RTOMin = fab.rtoMin
 
@@ -76,7 +74,7 @@ func runDynamics(o Options) *Result {
 	// flow is an 8MB transfer from host 1 to host 0 starting at t=0.
 	wf := workload.Generate(workload.GenConfig{
 		Dist: workload.WebSearch, Pattern: workload.AllToAll{N: fab.hosts},
-		Load: 0.5, HostRate: cfg.HostRate, NumFlows: o.Flows, Seed: o.Seed, StartID: 100,
+		Load: 0.5, HostRate: fab.cfg.HostRate, NumFlows: o.Flows, Seed: o.Seed, StartID: 100,
 	})
 	flows := []transport.SimpleFlow{{ID: watched, Src: 1, Dst: 0, Size: 8_000_000, FirstCall: 8_000_000}}
 	for _, f := range wf {

@@ -27,16 +27,14 @@ func makeFlows(cfg topo.Config, dist *workload.Dist, pattern workload.Pattern, l
 }
 
 // runOracle runs the two-pass hypothetical DCTCP (§2.3) and returns the
-// second-pass summary. Both passes run on o's scheduler implementation
-// and count toward the experiment's event total.
+// second-pass summary. Both passes count toward the experiment's event
+// total.
 func runOracle(o Options, fab fabric, flows []transport.SimpleFlow, frac float64) (stats.Summary, *transport.Env) {
-	cfg := fab.cfg
-	cfg.Sched = o.schedImpl()
 	rec := ppt.NewMWRecorder()
-	env1 := transport.NewEnv(fab.build(cfg))
+	env1 := transport.NewEnv(fab.build(fab.cfg))
 	env1.RTOMin = fab.rtoMin
 	transport.Run(env1, rec, flows, transport.RunConfig{})
-	env2 := transport.NewEnv(fab.build(cfg))
+	env2 := transport.NewEnv(fab.build(fab.cfg))
 	env2.RTOMin = fab.rtoMin
 	sum := transport.Run(env2, ppt.Oracle{MW: rec.MW(), FillFraction: frac}, flows, transport.RunConfig{})
 	o.addEvents(env1.Sched().Executed + env2.Sched().Executed)
@@ -58,10 +56,8 @@ func utilizationRun(o Options, load float64, schemeName string, oracleFrac float
 	sum, extra, err := o.cachedCell(
 		utilDesc(fab, load, o.Flows, o.Seed, schemeName, oracleFrac),
 		func() (stats.Summary, map[string]float64) {
-			cfg := fab.cfg
-			cfg.Sched = o.schedImpl()
-			flows := makeFlows(cfg, workload.WebSearch, workload.Incast{N: 3, Target: 0}, load, o.Flows, o.Seed)
-			net := fab.build(cfg)
+			flows := makeFlows(fab.cfg, workload.WebSearch, workload.Incast{N: 3, Target: 0}, load, o.Flows, o.Seed)
+			net := fab.build(fab.cfg)
 			env := transport.NewEnv(net)
 			env.RTOMin = fab.rtoMin
 			us := stats.SampleUtilization(env.Sched(), net.Switches[0].Port(0), 100*sim.Microsecond)
@@ -71,7 +67,7 @@ func utilizationRun(o Options, load float64, schemeName string, oracleFrac float
 				// above is replaced by one on the second-pass fabric.
 				rec := ppt.NewMWRecorder()
 				transport.Run(env, rec, flows, transport.RunConfig{})
-				net2 := fab.build(cfg)
+				net2 := fab.build(fab.cfg)
 				env2 := transport.NewEnv(net2)
 				env2.RTOMin = fab.rtoMin
 				us = stats.SampleUtilization(env2.Sched(), net2.Switches[0].Port(0), 100*sim.Microsecond)

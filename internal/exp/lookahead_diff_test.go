@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ppt/internal/sim"
 	"ppt/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // so the per-pair lookahead matrix (leaf↔spine at one wire delay,
 // leaf↔leaf and the self-cycles at two) and the load-balanced worker
 // assignment differ every trial — and asserts the windowed output is
-// byte-identical at every shard count and queue implementation. It
+// byte-identical at every shard count. It
 // also cross-checks the built matrix against an independent
 // brute-force bound: every entry must not exceed the true minimum path
 // delay over the wires the builder installs (the conservative
@@ -47,7 +46,6 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		base.sched = sim.Wheel
 		baseSum, baseEnv := execute(base)
 		part := baseEnv.Net.Part
 		if part == nil || part.Lookahead == nil {
@@ -74,32 +72,22 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 			}
 		}
 
-		// Shard hints beyond the shard count, equal to it, and below it
-		// (exercising multi-shard-per-worker LPT assignments), across
-		// both queue implementations.
-		for _, v := range []struct {
-			shards int
-			sched  sim.Impl
-		}{
-			{2, sim.Wheel},
-			{n, sim.Heap},
-			{n + 3, sim.Wheel},
-			{1, sim.Heap},
-		} {
+		// Shard hints below the shard count (exercising multi-shard-per-
+		// worker LPT assignments), equal to it, and beyond it.
+		for _, shards := range []int{2, n, n + 3} {
 			alt := spec
-			alt.shards = v.shards
-			alt.sched = v.sched
+			alt.shards = shards
 			altSum, altEnv := execute(alt)
 			if baseSum != altSum {
-				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d sched=%v summary diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, v.shards, v.sched, baseSum, altSum)
+				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d summary diverged\nbase: %+v\nalt:  %+v",
+					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
-				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d sched=%v efficiency diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, v.shards, v.sched, baseEnv.Eff, altEnv.Eff)
+				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d efficiency diverged\nbase: %+v\nalt:  %+v",
+					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseEnv.Eff, altEnv.Eff)
 			}
 			if altEnv.ShardStats == nil || altEnv.ShardStats.Rounds == 0 {
-				t.Errorf("trial %d: shards=%d run recorded no windowed instrumentation", trial, v.shards)
+				t.Errorf("trial %d: shards=%d run recorded no windowed instrumentation", trial, shards)
 			}
 		}
 	}

@@ -106,15 +106,8 @@ func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
 // zero events (nothing was simulated).
 func (p *pool) submitSpecExtra(label string, spec runSpec, extrasKind string, extras func(*transport.Env) map[string]float64) *cellOut {
 	out := &cellOut{}
-	spec.sched = p.opts.schedImpl()
 	spec.shards = p.opts.Shards
 	spec.noFastPath = p.opts.NoFastPath
-	// Force-on only: experiments that always stream (the scale family)
-	// set spec.stream themselves; Options.Stream additionally streams
-	// every other cell.
-	if p.opts.Stream {
-		spec.stream = true
-	}
 	opts := p.opts
 	desc := specDesc(spec)
 	if extrasKind != "" {

@@ -200,23 +200,16 @@ type runSpec struct {
 	// and LCP reach (0 = unbounded / 2GB).
 	sendBuf int64
 	app     bufaware.AppModel
-	// sched is the event-queue implementation for this cell's scheduler
-	// (from Options.Sched; zero value = wheel).
-	sched sim.Impl
 	// shards is the partition hint for this cell (from Options.Shards;
 	// applied only when the fabric partitions and the protocol is
 	// shardable, so non-windowed cells stay byte-for-byte on the legacy
 	// monolithic path).
 	shards int
-	// stream feeds the workload through a lazy FlowSource instead of a
-	// materialized slice (from Options.Stream, or forced on by the scale
-	// experiments). Byte-identical outcomes either way.
-	stream bool
 	// spillChunk, when > 0, bounds the FCT collector to this many
-	// resident records (stats spill mode). It implies stream and
-	// composes with the windowed engine: per-shard completions fold
-	// into the spilling collector at round barriers in canonical order
-	// (stats.WindowFold), bit-identical to the in-memory merge.
+	// resident records (stats spill mode). It composes with the
+	// windowed engine: per-shard completions fold into the spilling
+	// collector at round barriers in canonical order (stats.WindowFold),
+	// bit-identical to the in-memory merge.
 	spillChunk int
 	// noFastPath runs every port of a monolithic fabric on the classic
 	// two-event pipeline (from Options.NoFastPath); partitioned fabrics
@@ -227,9 +220,7 @@ type runSpec struct {
 // streamSource adapts a lazy workload generator into transport's
 // FlowSource, assigning each flow its first-syscall size on the fly.
 // It draws from the classifier RNG exactly once per flow in generation
-// order — the same consumption sequence as bufaware.AssignFirstCalls
-// over the materialized trace — so a streamed cell releases
-// bit-identical flows to a materialized one.
+// order, so a cell costs one flow of workload memory, not the trace.
 type streamSource struct {
 	gen     *workload.Generator
 	rng     *rand.Rand
@@ -248,11 +239,11 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 	}, true
 }
 
-// execute builds the fabric, generates flows, and runs to completion,
-// returning the summary and the environment for extra metrics.
+// execute builds the fabric, streams the workload through it, and runs
+// to completion, returning the summary and the environment for extra
+// metrics.
 func execute(spec runSpec) (stats.Summary, *transport.Env) {
 	cfg := spec.fab.cfg
-	cfg.Sched = spec.sched
 	cfg.NoFastPath = spec.noFastPath
 	if spec.sc.tweak != nil {
 		spec.sc.tweak(&cfg)
@@ -280,39 +271,22 @@ func execute(spec runSpec) (stats.Summary, *transport.Env) {
 		NumFlows: spec.flows,
 		Seed:     spec.seed,
 	}
-	if spec.stream || spec.spillChunk > 0 {
-		if spec.spillChunk > 0 {
-			if err := env.Collector.SetSpill(spec.spillChunk); err != nil {
-				panic(err)
-			}
-			// The spill file is unlinked at creation; Close just releases
-			// the descriptor. The counters callers read afterwards
-			// (ResidentPeak, SpilledRecords) survive Close.
-			defer env.Collector.Close()
+	if spec.spillChunk > 0 {
+		if err := env.Collector.SetSpill(spec.spillChunk); err != nil {
+			panic(err)
 		}
-		src := &streamSource{
-			gen:     workload.NewGenerator(genCfg),
-			rng:     rand.New(rand.NewSource(spec.seed + 7)),
-			app:     app,
-			sendBuf: spec.sendBuf,
-		}
-		return transport.RunSource(env, proto, src, transport.RunConfig{}), env
+		// The spill file is unlinked at creation; Close just releases
+		// the descriptor. The counters callers read afterwards
+		// (ResidentPeak, SpilledRecords) survive Close.
+		defer env.Collector.Close()
 	}
-	wf := workload.Generate(genCfg)
-	flows := make([]transport.SimpleFlow, len(wf))
-	sizes := make([]int64, len(wf))
-	for i, f := range wf {
-		sizes[i] = f.Size
+	src := &streamSource{
+		gen:     workload.NewGenerator(genCfg),
+		rng:     rand.New(rand.NewSource(spec.seed + 7)),
+		app:     app,
+		sendBuf: spec.sendBuf,
 	}
-	firstCalls := bufaware.AssignFirstCalls(sizes, app, spec.sendBuf, spec.seed+7)
-	for i, f := range wf {
-		flows[i] = transport.SimpleFlow{
-			ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
-			Arrive: f.Arrive, FirstCall: firstCalls[i],
-		}
-	}
-	sum := transport.Run(env, proto, flows, transport.RunConfig{})
-	return sum, env
+	return transport.RunSource(env, proto, src, transport.RunConfig{}), env
 }
 
 // compare runs the given schemes over one workload and assembles rows,

@@ -1,28 +1,24 @@
 package exp
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ppt/internal/bufaware"
 	"ppt/internal/workload"
 )
 
-// TestStreamedExecuteMatchesMaterialized is the exp-level streamed-vs-
-// materialized differential: the same cell spec through the lazy
-// FlowSource (with and without a spilling collector) must produce the
-// byte-identical summary the materialized path does. This pins both
-// halves of the streaming pipeline at once — the generator+classifier
-// RNG consumption order, and the spill fold — through a real transport.
-func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
+// TestSpilledExecuteMatchesInMemory pins the spill fold on the
+// monolithic engine: the same streamed cell with and without a
+// spilling collector must produce the byte-identical summary. The
+// memcached app model draws the classifier RNG per flow with a real
+// chunking probability, so the cell also exercises the streamed
+// first-call assignment. (TestWindowedSpillDifferential covers the
+// windowed engine.)
+func TestSpilledExecuteMatchesInMemory(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three full cells")
+		t.Skip("runs two full cells")
 	}
 	fab := simFabric(3, 2, 8)
-	// The memcached app model draws the classifier RNG per flow with
-	// a real chunking probability, so any divergence in draw order
-	// between AssignFirstCalls and the stream shows up immediately.
 	base := runSpec{
 		fab: fab, sc: baseSchemes()["ppt"], dist: workload.MemcachedW1,
 		pattern: workload.AllToAll{N: fab.hosts}, load: 0.5,
@@ -33,62 +29,17 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 		t.Fatalf("reference cell did not complete: %+v", want)
 	}
 
-	st := base
-	st.stream = true
-	if got, _ := execute(st); got != want {
-		t.Fatalf("streamed summary %+v != materialized %+v", got, want)
-	}
-
-	sp := st
+	sp := base
 	sp.spillChunk = 64
 	got, env := execute(sp)
 	if got != want {
-		t.Fatalf("streamed+spilled summary %+v != materialized %+v", got, want)
+		t.Fatalf("spilled summary %+v != in-memory %+v", got, want)
 	}
 	if peak := env.Collector.ResidentPeak(); peak > 64 {
 		t.Fatalf("resident peak %d exceeds spill chunk 64", peak)
 	}
 	if env.Collector.SpilledRecords() == 0 {
 		t.Fatal("nothing spilled at chunk 64 with 1500 flows")
-	}
-}
-
-// TestGoldenStreamed re-renders the golden experiment slice with
-// Options.Stream set — serially on the monolithic/windowed single-
-// worker path and 4-wide on the 4-shard windowed path — and requires
-// byte-identical output to the checked-in goldens. Together with
-// TestGoldenOutputs this proves streaming is invisible to simulated
-// outcomes across the whole engine matrix.
-func TestGoldenStreamed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several experiments")
-	}
-	for _, tc := range goldenCases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", "golden_"+tc.id+".txt"))
-			if err != nil {
-				t.Fatalf("missing golden file (generate with -update-golden): %v", err)
-			}
-			for _, m := range []struct {
-				parallel, shards int
-			}{{1, 1}, {4, 4}} {
-				o := tc.opts
-				o.Stream = true
-				o.Parallel = m.parallel
-				o.Shards = m.shards
-				res, err := RunByID(tc.id, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := res.Render() + "\n--- csv ---\n" + res.CSV()
-				if got != string(want) {
-					t.Fatalf("streamed parallel=%d shards=%d output differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-						m.parallel, m.shards, got, want)
-				}
-			}
-		})
 	}
 }
 

@@ -154,23 +154,24 @@ func TestWheelSpillAfterAbortedDescent(t *testing.T) {
 }
 
 // The differential test: replay a long randomized stream of mixed
-// Schedule / Stop / Reschedule / RunUntil operations through a heap and
-// a wheel scheduler in lockstep, asserting the two produce exactly the
-// same pop sequence, clocks, and Stop results. This is the strongest
-// pin on the wheel's (time, seq) order: any filing, cascade, spill, or
-// hot-bucket bug shows up as a divergence.
+// Schedule / Stop / Reschedule / RunUntil operations through the
+// reference heap and a Scheduler in lockstep, asserting the two produce
+// exactly the same pop sequence, clocks, and Stop results. This is the
+// strongest pin on the wheel's (time, seq) order: any filing, cascade,
+// spill, or hot-bucket bug shows up as a divergence.
 func TestHeapWheelDifferential(t *testing.T) {
 	ops := 2_000_000
 	if testing.Short() {
 		ops = 200_000
 	}
 	rng := rand.New(rand.NewSource(42))
-	h := NewSchedulerImpl(Heap)
-	w := NewSchedulerImpl(Wheel)
+	h := &refQueue{}
+	w := NewScheduler()
 
 	var hOrder, wOrder []uint64
 	type pair struct {
-		th, tw Timer
+		th *refEvent
+		tw Timer
 	}
 	var live []pair
 	var token uint64
@@ -189,10 +190,9 @@ func TestHeapWheelDifferential(t *testing.T) {
 	schedule := func() {
 		tk := token
 		token++
-		d := randDelay()
-		at := h.Now() + d
+		at := w.Now() + randDelay()
 		live = append(live, pair{
-			th: h.At(at, func() { hOrder = append(hOrder, tk) }),
+			th: h.at(at, tk),
 			tw: w.At(at, func() { wOrder = append(wOrder, tk) }),
 		})
 	}
@@ -207,13 +207,13 @@ func TestHeapWheelDifferential(t *testing.T) {
 			}
 		}
 		hOrder, wOrder = hOrder[:0], wOrder[:0]
-		if h.Now() != w.Now() {
-			t.Fatalf("clocks diverged: heap %v, wheel %v", h.Now(), w.Now())
+		if h.now != w.Now() {
+			t.Fatalf("clocks diverged: heap %v, wheel %v", h.now, w.Now())
 		}
-		if h.Pending() != w.Pending() {
-			t.Fatalf("pending diverged: heap %d, wheel %d", h.Pending(), w.Pending())
+		if len(h.heap) != w.Pending() {
+			t.Fatalf("pending diverged: heap %d, wheel %d", len(h.heap), w.Pending())
 		}
-		hAt, hOK := h.NextAtBound()
+		hAt, hOK := h.nextAt()
 		wAt, wOK := w.NextAtBound()
 		if hAt != wAt || hOK != wOK {
 			t.Fatalf("NextAtBound diverged: heap (%v, %v), wheel (%v, %v)",
@@ -221,6 +221,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 		}
 	}
 
+	var popped uint64
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(100); {
 		case r < 55:
@@ -231,7 +232,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 			}
 			j := rng.Intn(len(live))
 			p := live[j]
-			sh, sw := p.th.Stop(), p.tw.Stop()
+			sh, sw := h.stop(p.th), p.tw.Stop()
 			if sh != sw {
 				t.Fatalf("Stop diverged at op %d: heap %v, wheel %v", i, sh, sw)
 			}
@@ -241,7 +242,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 			if len(live) > 0 {
 				j := rng.Intn(len(live))
 				p := live[j]
-				if sh, sw := p.th.Stop(), p.tw.Stop(); sh != sw {
+				if sh, sw := h.stop(p.th), p.tw.Stop(); sh != sw {
 					t.Fatalf("Stop diverged at op %d: heap %v, wheel %v", i, sh, sw)
 				}
 				live[j] = live[len(live)-1]
@@ -250,11 +251,13 @@ func TestHeapWheelDifferential(t *testing.T) {
 			schedule()
 		default: // run up to a random deadline; aborted descents feed the spill
 			d := randDelay()
-			nh := h.RunUntil(h.Now() + d)
+			hOrder = h.runUntil(h.now+d, hOrder)
+			nh := uint64(len(hOrder))
 			nw := w.RunUntil(w.Now() + d)
 			if nh != nw {
 				t.Fatalf("RunUntil executed %d on heap, %d on wheel at op %d", nh, nw, i)
 			}
+			popped += nh
 			compare()
 		}
 		// Keep the handle table bounded; pruning by Pending keeps both
@@ -262,43 +265,48 @@ func TestHeapWheelDifferential(t *testing.T) {
 		if len(live) > 1<<16 {
 			kept := live[:0]
 			for _, p := range live {
-				if p.th.Pending() {
+				if p.tw.Pending() {
 					kept = append(kept, p)
 				}
 			}
 			live = kept
 		}
 	}
-	nh := h.Run()
+	hOrder = h.runUntil(MaxTime, hOrder)
+	nh := uint64(len(hOrder))
 	nw := w.Run()
 	if nh != nw {
 		t.Fatalf("final drain executed %d on heap, %d on wheel", nh, nw)
 	}
 	compare()
-	if h.Executed != w.Executed {
-		t.Fatalf("Executed diverged: heap %d, wheel %d", h.Executed, w.Executed)
+	if popped+nh != w.Executed {
+		t.Fatalf("Executed diverged: heap %d, wheel %d", popped+nh, w.Executed)
 	}
-	if h.Pending() != 0 {
-		t.Fatalf("events left after drain: %d", h.Pending())
+	if w.Pending() != 0 {
+		t.Fatalf("events left after drain: %d", w.Pending())
 	}
 }
 
 // TestNextAtBoundExactDifferential pins NextAtBound's exactness: after
 // every randomized Schedule / Stop / RunUntil operation, the wheel's
-// bound must equal the heap's root timestamp — not merely lower-bound
-// it. Delays are drawn log-uniform so the earliest event regularly
-// lives in a multi-resident higher-level bucket (the case the old
-// implementation answered with the coarse window start), and aborted
-// RunUntil descents exercise the spill-list branch.
+// bound must equal the reference heap's root timestamp — not merely
+// lower-bound it. Delays are drawn log-uniform so the earliest event
+// regularly lives in a multi-resident higher-level bucket (the case
+// the old implementation answered with the coarse window start), and
+// aborted RunUntil descents exercise the spill-list branch.
 func TestNextAtBoundExactDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	h := NewSchedulerImpl(Heap)
-	w := NewSchedulerImpl(Wheel)
+	h := &refQueue{}
+	w := NewScheduler()
 
-	type pair struct{ th, tw Timer }
+	type pair struct {
+		th *refEvent
+		tw Timer
+	}
 	var live []pair
+	var popped []uint64
 	check := func(op string, i int) {
-		hAt, hOK := h.NextAtBound()
+		hAt, hOK := h.nextAt()
 		wAt, wOK := w.NextAtBound()
 		if hAt != wAt || hOK != wOK {
 			t.Fatalf("op %d (%s): NextAtBound heap (%v, %v) != wheel (%v, %v)",
@@ -315,9 +323,9 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 	for i := 0; i < 30_000; i++ {
 		switch r := rng.Intn(100); {
 		case r < 60:
-			at := h.Now() + randDelay()
+			at := w.Now() + randDelay()
 			live = append(live, pair{
-				th: h.At(at, func() {}),
+				th: h.at(at, 0),
 				tw: w.At(at, func() {}),
 			})
 			check("schedule", i)
@@ -327,7 +335,7 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 			}
 			j := rng.Intn(len(live))
 			p := live[j]
-			if sh, sw := p.th.Stop(), p.tw.Stop(); sh != sw {
+			if sh, sw := h.stop(p.th), p.tw.Stop(); sh != sw {
 				t.Fatalf("op %d: Stop diverged heap %v wheel %v", i, sh, sw)
 			}
 			live[j] = live[len(live)-1]
@@ -335,7 +343,8 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 			check("stop", i)
 		default:
 			d := randDelay()
-			if nh, nw := h.RunUntil(h.Now()+d), w.RunUntil(w.Now()+d); nh != nw {
+			popped = h.runUntil(h.now+d, popped[:0])
+			if nh, nw := uint64(len(popped)), w.RunUntil(w.Now()+d); nh != nw {
 				t.Fatalf("op %d: RunUntil ran %d on heap, %d on wheel", i, nh, nw)
 			}
 			check("rununtil", i)
@@ -343,14 +352,15 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 		if len(live) > 1<<14 {
 			kept := live[:0]
 			for _, p := range live {
-				if p.th.Pending() {
+				if p.tw.Pending() {
 					kept = append(kept, p)
 				}
 			}
 			live = kept
 		}
 	}
-	if nh, nw := h.Run(), w.Run(); nh != nw {
+	popped = h.runUntil(MaxTime, popped[:0])
+	if nh, nw := uint64(len(popped)), w.Run(); nh != nw {
 		t.Fatalf("final drain ran %d on heap, %d on wheel", nh, nw)
 	}
 	check("drain", -1)

@@ -52,11 +52,6 @@ type Config struct {
 	// netsim.PortConfig). Partitioned fabrics ignore it.
 	NoFastPath bool
 
-	// Sched selects the event-queue implementation of the fabric's
-	// scheduler (timing wheel by default, min-heap for A/B runs). Both
-	// produce identical event orders; see internal/sim.
-	Sched sim.Impl
-
 	// Shards, when >= 1, asks multi-switch builders (LeafSpine) for a
 	// partitioned fabric: one logical shard per switch (leaf shards own
 	// their hosts), each with its own scheduler and packet pool, wired
@@ -231,7 +226,7 @@ func Star(n int, cfg Config) *Network {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = 20 * sim.Microsecond
 	}
-	s := sim.NewSchedulerImpl(cfg.Sched)
+	s := sim.NewScheduler()
 	net := &Network{Sched: s, Cfg: cfg, BottleneckRate: cfg.HostRate}
 	sw := netsim.NewSwitch("sw0", 1)
 	net.Switches = []*netsim.Switch{sw}
@@ -301,7 +296,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 			HostShard: make([]int, leaves*hostsPerLeaf),
 		}
 		for i := 0; i < n; i++ {
-			part.Scheds[i] = sim.NewSchedulerImpl(cfg.Sched)
+			part.Scheds[i] = sim.NewScheduler()
 			part.Pools[i] = netsim.NewPacketPool()
 			part.Outboxes[i] = netsim.NewOutbox(i)
 			part.Inboxes[i] = netsim.NewInbox(part.Scheds[i])
@@ -329,7 +324,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		part.ShardWorker = AssignWorkers(weights, part.Workers)
 		net.Part = part
 	} else {
-		mono = sim.NewSchedulerImpl(cfg.Sched)
+		mono = sim.NewScheduler()
 		net.Sched = mono
 	}
 	sched := func(shard int) *sim.Scheduler {

@@ -603,8 +603,8 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	// its own horizon, then applies cross-shard effects at the barrier.
 	// Horizons are a pure function of shard-local scheduler state and
 	// the stream lookahead, so the loop's entire trajectory — barrier
-	// instants included — is identical for every worker count and both
-	// queue implementations (NextAtBound is exact on each).
+	// instants included — is identical for every worker count
+	// (NextAtBound is exact).
 	for {
 		// eff_s: shard s cannot emit anything (packet, release, or
 		// derived event) before this instant. Its earliest pending

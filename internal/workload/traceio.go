@@ -25,13 +25,18 @@ func formatArriveUS(t sim.Time) string {
 	return fmt.Sprintf("%d.%06d", int64(t)/int64(sim.Microsecond), int64(t)%int64(sim.Microsecond))
 }
 
+// maxArriveUS is the largest whole-microsecond arrival the int64
+// picosecond clock holds (about 106 days).
+const maxArriveUS = math.MaxInt64 / int64(sim.Microsecond)
+
 // parseArriveUS parses an arrive_us column value back to picoseconds.
 // Plain decimals (the only thing WriteFlows ever emitted, at 3 or 6
 // decimals) take an exact integer path, so a write→read round trip is
 // bit-identical at any clock value. Hand-authored traces may use any
 // float syntax; those fall back to ParseFloat with round-to-nearest
 // (the old conversion truncated, so "122.999999" could lose a
-// picosecond to float error).
+// picosecond to float error). Arrivals past the clock's range are
+// rejected rather than wrapped to negative times.
 func parseArriveUS(s string) (sim.Time, error) {
 	if dot := strings.IndexByte(s, '.'); dot >= 0 && !strings.ContainsAny(s, "eEpPxX") {
 		whole, err1 := strconv.ParseInt(s[:dot], 10, 64)
@@ -41,11 +46,17 @@ func parseArriveUS(s string) (sim.Time, error) {
 				for i := len(frac); i < 6; i++ {
 					f *= 10
 				}
+				if whole > (math.MaxInt64-f)/int64(sim.Microsecond) {
+					return 0, errArriveOverflow(s)
+				}
 				return sim.Time(whole)*sim.Microsecond + sim.Time(f), nil
 			}
 		}
 	} else if dot < 0 {
 		if whole, err := strconv.ParseInt(s, 10, 64); err == nil && whole >= 0 {
+			if whole > maxArriveUS {
+				return 0, errArriveOverflow(s)
+			}
 			return sim.Time(whole) * sim.Microsecond, nil
 		}
 	}
@@ -56,7 +67,17 @@ func parseArriveUS(s string) (sim.Time, error) {
 	if us < 0 {
 		return 0, fmt.Errorf("negative arrival %v", us)
 	}
-	return sim.Time(math.Round(us * float64(sim.Microsecond))), nil
+	// 2^63 is the first float64 past MaxInt64; !(ps < 2^63) also
+	// catches NaN.
+	ps := math.Round(us * float64(sim.Microsecond))
+	if !(ps < math.Exp2(63)) {
+		return 0, errArriveOverflow(s)
+	}
+	return sim.Time(ps), nil
+}
+
+func errArriveOverflow(s string) error {
+	return fmt.Errorf("arrival %sus is past the int64 picosecond clock (max %dus)", s, maxArriveUS)
 }
 
 // WriteFlows dumps flows as CSV: id, src, dst, size_bytes, arrive_us.

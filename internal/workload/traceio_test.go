@@ -63,12 +63,84 @@ func TestReadFlowsValidation(t *testing.T) {
 		"duplicate id": header + "1,0,1,100,0\n1,0,2,100,1\n",
 		"bad int":      header + "x,0,1,100,0\n",
 		"short row":    header + "1,0,1\n",
+		// Past the int64 picosecond clock (~9.22e12us): each used to
+		// wrap to a negative arrival and be accepted.
+		"overflow decimal":    header + "1,0,1,100,10000000000000.5\n",
+		"overflow integer":    header + "1,0,1,100,10000000000000\n",
+		"overflow float":      header + "1,0,1,100,1e13\n",
+		"overflow by 1ps":     header + "1,0,1,100,9223372036854.775808\n",
+		"overflow past range": header + "1,0,1,100,99999999999999999999\n",
+		"nan":                 header + "1,0,1,100,NaN\n",
+		"inf":                 header + "1,0,1,100,+Inf\n",
 	}
 	for name, trace := range cases {
 		if _, err := ReadFlows(strings.NewReader(trace)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// TestArriveClockBounds pins both sides of the int64 picosecond clock
+// limit: the last representable instant parses exactly, one picosecond
+// more is rejected, and the rejection names the trace line.
+func TestArriveClockBounds(t *testing.T) {
+	header := "id,src,dst,size_bytes,arrive_us\n"
+	flows, err := ReadFlows(strings.NewReader(header + "1,0,1,100,9223372036854.775807\n"))
+	if err != nil || len(flows) != 1 || flows[0].Arrive != sim.MaxTime {
+		t.Fatalf("MaxTime arrival: %+v, %v", flows, err)
+	}
+	_, err = ReadFlows(strings.NewReader(header + "1,0,1,100,0\n2,0,1,100,1e13\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "past the int64 picosecond clock") {
+		t.Fatalf("overflowing arrival: err = %v", err)
+	}
+}
+
+// FuzzTraceReader feeds arbitrary text to the streaming reader. Every
+// accepted row must carry a non-negative arrival, and the accepted rows
+// must round-trip bit-identically through WriteFlows -> ReadFlows.
+func FuzzTraceReader(f *testing.F) {
+	header := "id,src,dst,size_bytes,arrive_us\n"
+	for _, body := range []string{
+		"1,0,3,50000,0\n2,1,3,2000000,12.5\n3,2,3,100,40\n",
+		"7,4,5,1460,9223372036854.775807\n",
+		"1,0,1,100,10000000000000.5\n",
+		"1,0,1,100,1e13\n",
+		"1,0,1,100,122.9999999999\n",
+		"1,0,1,100,0x1p-2\n",
+		"1,0,1,100,12.345\n1,0,2,100,1\n",
+	} {
+		f.Add(header + body)
+	}
+	f.Fuzz(func(t *testing.T, trace string) {
+		tr := NewTraceReader(strings.NewReader(trace))
+		var accepted []Flow
+		for {
+			fl, ok := tr.Next()
+			if !ok {
+				break
+			}
+			if fl.Arrive < 0 {
+				t.Fatalf("accepted negative arrival %d from %q", fl.Arrive, trace)
+			}
+			accepted = append(accepted, fl)
+		}
+		var buf bytes.Buffer
+		if err := WriteFlows(&buf, accepted); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFlows(&buf)
+		if err != nil {
+			t.Fatalf("rewritten trace does not read back: %v\n%s", err, buf.String())
+		}
+		if len(back) != len(accepted) {
+			t.Fatalf("round trip kept %d of %d flows", len(back), len(accepted))
+		}
+		for i := range back {
+			if back[i] != accepted[i] {
+				t.Fatalf("flow %d: %+v round-tripped to %+v", i, accepted[i], back[i])
+			}
+		}
+	})
 }
 
 func TestReadFlowsEmpty(t *testing.T) {
