@@ -57,10 +57,11 @@ func init() {
 }
 
 // runScaleSpill is the shared driver of the streamed + spilled scale
-// experiments. Spill composes with the windowed engine: per-shard
-// completion logs fold into the spilling collector at round barriers in
-// canonical order (stats.WindowFold), so `-shards=4` parallelizes
-// inside a cell while staying byte-identical to `-shards=1` — and
+// experiments. Spill composes with the windowed engine, which folds
+// every run's per-shard completion logs into the caller's collector at
+// round barriers in canonical order (stats.WindowFold), so `-shards=4`
+// parallelizes inside a cell while staying byte-identical to
+// `-shards=1` — and
 // repeats/schemes still parallelize across cells on the worker pool,
 // each cell with its own bounded collector and unlinked temp file.
 func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) *Result {

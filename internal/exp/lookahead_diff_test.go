@@ -51,16 +51,16 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		if part == nil || part.Lookahead == nil {
 			t.Fatalf("trial %d: partitioned build carries no lookahead matrix", trial)
 		}
-		// Conservative bound: adjacent shards one delay apart, nothing
-		// closer than the global window, diagonal bounded by the round
-		// trip through a spine.
+		// Conservative bound: adjacent shards one wire delay apart,
+		// nothing closer, diagonal bounded by the round trip through a
+		// spine.
 		n := leaves + spines
-		w := part.Window
+		w := baseEnv.Net.Cfg.LinkDelay
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				at := part.Lookahead.At(i, j)
 				if at < w {
-					t.Fatalf("trial %d: matrix entry (%d,%d)=%v below global window %v", trial, i, j, at, w)
+					t.Fatalf("trial %d: matrix entry (%d,%d)=%v below the wire delay %v", trial, i, j, at, w)
 				}
 				iLeaf, jLeaf := i < leaves, j < leaves
 				if iLeaf != jLeaf && at != w {

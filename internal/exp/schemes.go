@@ -207,9 +207,8 @@ type runSpec struct {
 	shards int
 	// spillChunk, when > 0, bounds the FCT collector to this many
 	// resident records (stats spill mode). It composes with the
-	// windowed engine: per-shard completions fold into the spilling
-	// collector at round barriers in canonical order (stats.WindowFold),
-	// bit-identical to the in-memory merge.
+	// windowed engine, whose barrier-time fold (stats.WindowFold) feeds
+	// any collector, spilling or not, the same canonical sequence.
 	spillChunk int
 	// noFastPath runs every port of a monolithic fabric on the classic
 	// two-event pipeline (from Options.NoFastPath); partitioned fabrics

@@ -132,8 +132,9 @@ func TestSummarizeDuplicateHeavyMatchesSortPath(t *testing.T) {
 }
 
 // TestMergeCanonicalOrderInvariant pins the property the windowed
-// engine relies on: however completions are distributed across source
-// collectors, the merged log — and the Summary computed from it — is
+// engine relies on: however completions are distributed across shard
+// logs, and whenever the barriers fold them, the log WindowFold builds
+// in the caller's collector — and the Summary computed from it — is
 // identical, bit for bit.
 func TestMergeCanonicalOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -147,29 +148,36 @@ func TestMergeCanonicalOrderInvariant(t *testing.T) {
 			End:    start + sim.Time(1+rng.Intn(5000))*sim.Microsecond,
 		}
 	}
-	merge := func(shards int, perm []int) (*Collector, Summary) {
+	fold := func(shards, cadence int, perm []int) (*Collector, Summary) {
+		// Each shard's log fills in execution order, nondecreasing in
+		// End; perm decides the order among equal Ends.
+		sort.SliceStable(perm, func(i, j int) bool { return records[perm[i]].End < records[perm[j]].End })
 		srcs := make([]*Collector, shards)
 		for i := range srcs {
 			srcs[i] = NewCollector()
 		}
-		for _, idx := range perm {
+		c := NewCollector()
+		wf := NewWindowFold(c)
+		for n, idx := range perm {
 			r := records[idx]
 			srcs[idx%shards].Complete(r.FlowID, r.Size, r.Start, r.End)
+			if n%cadence == cadence-1 {
+				// No later completion ends before r.End.
+				wf.Fold(r.End, srcs)
+			}
 		}
-		c := NewCollector()
-		c.MergeCanonical(srcs...)
+		wf.FoldAll(srcs)
 		return c, c.Summarize()
 	}
-	ident := rng.Perm(len(records))
-	baseC, baseS := merge(1, ident)
+	baseC, baseS := fold(1, len(records), rng.Perm(len(records)))
 	for _, shards := range []int{2, 3, 7} {
-		c, s := merge(shards, rng.Perm(len(records)))
+		c, s := fold(shards, 1+rng.Intn(40), rng.Perm(len(records)))
 		if s != baseS {
 			t.Fatalf("shards=%d summary differs: %+v vs %+v", shards, s, baseS)
 		}
 		for i, r := range c.Records() {
 			if r != baseC.Records()[i] {
-				t.Fatalf("shards=%d merged record %d differs: %+v vs %+v", shards, i, r, baseC.Records()[i])
+				t.Fatalf("shards=%d folded record %d differs: %+v vs %+v", shards, i, r, baseC.Records()[i])
 			}
 		}
 	}

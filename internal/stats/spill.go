@@ -58,10 +58,9 @@ type spillState struct {
 // SetSpill switches the collector to bounded-memory mode: at most chunk
 // completed records stay resident; older chunks are folded into running
 // sums and their small FCTs spilled to an unlinked temp file. Must be
-// called before the first Complete. Records and MergeCanonical are
-// unavailable in spill mode (the raw log no longer exists); Summarize
-// remains bit-identical to the in-memory path. Call Close to release
-// the spill file.
+// called before the first Complete. Records is unavailable in spill
+// mode (the raw log no longer exists); Summarize remains bit-identical
+// to the in-memory path. Call Close to release the spill file.
 func (c *Collector) SetSpill(chunk int) error {
 	if chunk <= 0 {
 		return fmt.Errorf("stats: spill chunk must be positive, got %d", chunk)

@@ -166,6 +166,4 @@ func TestSpillGuards(t *testing.T) {
 		f()
 	}
 	mustPanic("Records", func() { sp.Records() })
-	mustPanic("MergeCanonical", func() { NewCollector().MergeCanonical(sp) })
-	mustPanic("MergeCanonical dst", func() { sp.MergeCanonical(NewCollector()) })
 }

@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -92,51 +93,14 @@ func (c *Collector) Count() int {
 	return len(c.records)
 }
 
-// canonLess is the canonical (End, Start, FlowID) record order shared
-// by MergeCanonical and the windowed spill fold (windowfold.go). Flow
-// IDs are unique per run, so it is a strict total order: any sorting
-// procedure produces the same sequence, which is what makes the float
-// accumulation order — and every reported mean, bit for bit —
-// independent of shard count.
-func canonLess(a, b *FCTRecord) bool {
-	if a.End != b.End {
-		return a.End < b.End
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.FlowID < b.FlowID
-}
-
-// MergeCanonical appends every record of srcs into c and sorts the
-// combined log by (End, Start, FlowID). The windowed (sharded) run
-// driver merges its per-shard collectors through this: per-shard
-// completion order depends on the partition, so the merged log is
-// re-ordered by a total order (flow IDs are unique per run) to make
-// Summarize's float accumulation sequence — and therefore every
-// reported mean, bit for bit — independent of shard count. Monolithic
-// runs never call this and keep their historical completion order;
-// spilling masters fold incrementally through WindowFold instead, which
-// feeds the same canonical sequence under a bounded-memory cap.
-func (c *Collector) MergeCanonical(srcs ...*Collector) {
-	if c.sp != nil {
-		panic("stats: MergeCanonical on a spilling collector (use WindowFold for windowed spill runs)")
-	}
-	for _, s := range srcs {
-		if s.sp != nil {
-			panic("stats: MergeCanonical from a spilling collector")
-		}
-	}
-	n := 0
-	for _, s := range srcs {
-		n += len(s.records)
-	}
-	c.Reserve(n)
-	for _, s := range srcs {
-		c.records = append(c.records, s.records...)
-	}
-	r := c.records
-	sort.Slice(r, func(i, j int) bool { return canonLess(&r[i], &r[j]) })
+// canonCmp is the canonical (End, Start, FlowID) record order in which
+// a windowed run's per-shard completions reach the caller's collector
+// (WindowFold). Flow IDs are unique per run, so it is a strict total
+// order: any sorting procedure produces the same sequence, which is
+// what makes the float accumulation order — and every reported mean,
+// bit for bit — independent of shard count.
+func canonCmp(a, b FCTRecord) int {
+	return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Start, b.Start), cmp.Compare(a.FlowID, b.FlowID))
 }
 
 // Records returns the raw completions. Unavailable in spill mode: the

@@ -1,11 +1,15 @@
 package stats
 
-import "ppt/internal/sim"
+import (
+	"slices"
 
-// WindowFold folds per-shard completion logs into one spilling master
-// collector at windowed-run barriers, replacing the old "spill implies
-// monolithic" restriction: bounded-memory million-flow runs now compose
-// with the sharded engine.
+	"ppt/internal/sim"
+)
+
+// WindowFold folds the per-shard completion logs of a windowed run into
+// the caller's collector at every round barrier, whether that collector
+// keeps its records resident or spills them (bounded-memory
+// million-flow runs).
 //
 // The windowed driver calls Fold with the round's granted safe bound
 // (the minimum of the new per-shard floors): every record whose End
@@ -19,20 +23,17 @@ import "ppt/internal/sim"
 // safe bounds strictly time-partition the batches — records with equal
 // End always land in the same batch. The concatenation of canonically
 // sorted, time-partitioned batches is therefore exactly the globally
-// sorted sequence MergeCanonical would produce, so the master's fold
-// order — and with it every running float sum and the small-FCT
-// multiset the radix P99 selection reads — is bit-identical to the
-// in-memory windowed path at every shard count and chunk size.
+// sorted completion sequence, so the master's fold order — and with it
+// every running float sum and the small-FCT multiset the P99 selection
+// reads — is bit-identical at every shard count, fold cadence and spill
+// chunk size.
 type WindowFold struct {
 	master *Collector
 	batch  []FCTRecord
 }
 
-// NewWindowFold wraps an empty spilling master collector.
+// NewWindowFold wraps an empty master collector.
 func NewWindowFold(master *Collector) *WindowFold {
-	if !master.Spilling() {
-		panic("stats: NewWindowFold needs a spilling master collector")
-	}
 	if master.Count() > 0 {
 		panic("stats: NewWindowFold on a non-empty collector")
 	}
@@ -78,13 +79,13 @@ func (w *WindowFold) fold(shards []*Collector, safe sim.Time, all bool) {
 	if len(batch) == 0 {
 		return
 	}
-	sortCanonical(batch)
-	// Keep the master's resident log inside its chunk across the feed: a
-	// partial early spill folds the very same prefix in the very same
-	// order a boundary-aligned spill would, so flushing here changes no
-	// sum, no spilled byte, and no selection input — only the moment the
-	// fold happens.
-	if sp := w.master.sp; len(w.master.records) > 0 && len(w.master.records)+len(batch) > sp.chunk {
+	slices.SortFunc(batch, canonCmp)
+	// Keep a spilling master's resident log inside its chunk across the
+	// feed: a partial early spill folds the very same prefix in the very
+	// same order a boundary-aligned spill would, so flushing here
+	// changes no sum, no spilled byte, and no selection input — only the
+	// moment the fold happens.
+	if sp := w.master.sp; sp != nil && len(w.master.records) > 0 && len(w.master.records)+len(batch) > sp.chunk {
 		w.master.spillChunk()
 	}
 	for i := range batch {
@@ -92,45 +93,4 @@ func (w *WindowFold) fold(shards []*Collector, safe sim.Time, all bool) {
 		w.master.Complete(r.FlowID, r.Size, r.Start, r.End)
 	}
 	w.batch = batch[:0]
-}
-
-// sortCanonical orders records by canonLess without allocating: an
-// insertion sort for window-sized batches, heapsort beyond (same shape
-// as netsim's cross-window sort). canonLess is a strict total order, so
-// the output sequence is the unique sorted order whatever the
-// algorithm.
-func sortCanonical(p []FCTRecord) {
-	if len(p) <= 24 {
-		for i := 1; i < len(p); i++ {
-			for j := i; j > 0 && canonLess(&p[j], &p[j-1]); j-- {
-				p[j], p[j-1] = p[j-1], p[j]
-			}
-		}
-		return
-	}
-	n := len(p)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftCanonical(p, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		p[0], p[end] = p[end], p[0]
-		siftCanonical(p, 0, end)
-	}
-}
-
-func siftCanonical(p []FCTRecord, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && canonLess(&p[child], &p[child+1]) {
-			child++
-		}
-		if !canonLess(&p[root], &p[child]) {
-			return
-		}
-		p[root], p[child] = p[child], p[root]
-		root = child
-	}
 }

@@ -91,7 +91,7 @@ func TestLookaheadBruteForce(t *testing.T) {
 // TestLeafSpineLookahead pins the matrix a built fabric carries:
 // adjacent pairs (leaf<->spine) at one wire delay, distant pairs
 // (leaf<->leaf, spine<->spine) and every self-cycle at two, the global
-// minimum equal to the legacy Window, and each entry no larger than
+// minimum equal to one wire delay, and each entry no larger than
 // the true minimum path delay computed brute-force from the wire set
 // the builder installs.
 func TestLeafSpineLookahead(t *testing.T) {
@@ -130,8 +130,8 @@ func TestLeafSpineLookahead(t *testing.T) {
 				}
 			}
 		}
-		if la.Min() != part.Window {
-			t.Fatalf("matrix min %v != legacy window %v", la.Min(), part.Window)
+		if la.Min() != delay {
+			t.Fatalf("matrix min %v != wire delay %v", la.Min(), delay)
 		}
 		if spines > 0 {
 			if got := la.At(0, leaves); got != delay {
@@ -204,4 +204,50 @@ func TestAssignWorkers(t *testing.T) {
 	if perWorker[0] != 2 || perWorker[1] != 2 {
 		t.Fatalf("4 equal leaves over 2 workers split %v, want 2+2 (assignment %v)", perWorker, got)
 	}
+}
+
+// FuzzLookahead builds a wire graph from a byte string and checks Close
+// against the independent brute-force walk minimum. The first byte sets
+// the shard count (2..8); every following triple is one directed wire:
+// source, destination, and a delay of 1..256.
+func FuzzLookahead(f *testing.F) {
+	for _, seed := range [][]byte{
+		{0},
+		{1, 0, 1, 9, 1, 2, 9, 2, 0, 9}, // a 3-cycle
+		{2, 0, 3, 0, 3, 0, 255, 1, 3, 4, 3, 1, 4}, // parallel wires keep the minimum
+		{6, 0, 0, 5, 7, 6, 1, 6, 7, 1, 3, 4, 100},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, g []byte) {
+		if len(g) == 0 {
+			return
+		}
+		n := 2 + int(g[0]%7)
+		adj := make([][]sim.Time, n)
+		for i := range adj {
+			adj[i] = make([]sim.Time, n)
+			for j := range adj[i] {
+				adj[i][j] = sim.MaxTime
+			}
+		}
+		la := NewLookahead(n)
+		for k := 1; k+2 < len(g); k += 3 {
+			src, dst := int(g[k])%n, int(g[k+1])%n
+			d := sim.Time(g[k+2]) + 1
+			la.AddWire(src, dst, d)
+			if src != dst && d < adj[src][dst] {
+				adj[src][dst] = d
+			}
+		}
+		la.Close()
+		want := bruteMinWalk(n, adj)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got := la.At(i, j); got != want[i][j] {
+					t.Fatalf("n=%d: At(%d,%d) = %v, brute force = %v", n, i, j, got, want[i][j])
+				}
+			}
+		}
+	})
 }

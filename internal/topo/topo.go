@@ -75,13 +75,11 @@ type Partition struct {
 	// window: min(Config.Shards, N). Worker count never affects
 	// outcomes — shards only interact at barriers, in canonical order.
 	Workers int
-	// Window is the single global lock-step window width: the minimum
-	// propagation delay over cross-shard wires. Kept as the coarse
-	// fallback lookahead; the driver prefers the per-pair matrix below.
-	Window sim.Time
 	// Lookahead is the per-shard-pair lookahead matrix (closed under
 	// min-plus composition); see the Lookahead type. Derived from the
-	// same wires that get SetCross, so the two views always agree.
+	// same wires that get SetCross, so the two views always agree. The
+	// windowed driver requires it: a partition without one panics in
+	// transport.RunSource.
 	Lookahead *Lookahead
 	// ShardWorker maps each shard to the worker slot that executes its
 	// windows: a deterministic host-count-weighted LPT packing
@@ -279,8 +277,8 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 
 	// Partitioning (Config.Shards >= 1): leaf i and its hosts form shard
 	// i, spine j forms shard leaves+j. The only cross-shard wires are
-	// leaf<->spine (a host's NIC peers with its own leaf), so the
-	// conservative window width is exactly LinkDelay.
+	// leaf<->spine (a host's NIC peers with its own leaf), each of
+	// LinkDelay.
 	var part *Partition
 	var mono *sim.Scheduler
 	if cfg.Shards >= 1 {
@@ -288,7 +286,6 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		part = &Partition{
 			N:         n,
 			Workers:   min(cfg.Shards, n),
-			Window:    cfg.LinkDelay,
 			Scheds:    make([]*sim.Scheduler, n),
 			Pools:     make([]*netsim.PacketPool, n),
 			Outboxes:  make([]*netsim.Outbox, n),

@@ -265,3 +265,61 @@ func TestReassemblyClampsAtSize(t *testing.T) {
 		t.Fatalf("state = %v", r)
 	}
 }
+
+// FuzzIntervalSet replays a byte string as Add calls over a small byte
+// range and checks Add's return value, Total, ContiguousFrom and
+// NextGap at every offset against a bitmap reference after each call.
+// Each op is two bytes: a start in [0, span) and a length in [0, 16].
+func FuzzIntervalSet(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{0, 10, 20, 10, 10, 10},       // two disjoint runs bridged
+		{5, 0, 5, 1, 4, 1, 6, 1},      // empty add, then adjacency merges
+		{60, 16, 0, 16, 16, 16, 8, 2}, // clamped at span, contained add
+		{3, 3, 1, 1, 2, 2, 0, 16, 30, 5, 29, 7},
+	} {
+		f.Add(seed)
+	}
+	const span = 64
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var s IntervalSet
+		var bitmap [span + 1]bool // bitmap[span] stays false
+		for k := 0; k+1 < len(ops); k += 2 {
+			a := int64(ops[k] % span)
+			b := min(a+int64(ops[k+1]%17), span)
+			var want int64
+			for i := a; i < b; i++ {
+				if !bitmap[i] {
+					bitmap[i] = true
+					want++
+				}
+			}
+			if got := s.Add(a, b); got != want {
+				t.Fatalf("op %d: Add(%d, %d) = %d, want %d", k/2, a, b, got, want)
+			}
+			var total int64
+			for _, set := range bitmap {
+				if set {
+					total++
+				}
+			}
+			if s.Total() != total {
+				t.Fatalf("op %d: Total = %d, want %d", k/2, s.Total(), total)
+			}
+			for x := int64(0); x <= span; x++ {
+				run := x
+				for bitmap[run] {
+					run++
+				}
+				if got := s.ContiguousFrom(x); got != run {
+					t.Fatalf("op %d: ContiguousFrom(%d) = %d, want %d", k/2, x, got, run)
+				}
+				for _, limit := range []int64{x, (x + span) / 2, span} {
+					if got := s.NextGap(x, limit); got != min(run, limit) {
+						t.Fatalf("op %d: NextGap(%d, %d) = %d, want %d", k/2, x, limit, got, min(run, limit))
+					}
+				}
+			}
+		}
+	})
+}

@@ -314,21 +314,14 @@ func (s *sender) launch() {
 	}
 }
 
-// StopTimers implements transport.SenderQuiescer: cancel every pending
-// timer that could call back into this sender (HCP RTO, LCP
-// pacing/open/dead timers) without recycling it. Idempotent, so the
-// later Recycle's own stops are harmless.
-func (s *sender) StopTimers() {
+// Recycle implements transport.EndpointRecycler: every timer that could
+// call back into this sender (HCP RTO, LCP pacing/open/dead timers) is
+// stopped, then pool-owned structs return to the freelist. Senders
+// built with newSender (tests, traces) are left alone — their creators
+// may still hold them.
+func (s *sender) Recycle(env *transport.Env) {
 	s.hcp.StopTimers()
 	s.lcp.stopTimers()
-}
-
-// Recycle implements transport.EndpointRecycler: every timer that could
-// call back into this sender is stopped, then pool-owned structs return
-// to the freelist. Senders built with newSender (tests, traces) are left
-// alone — their creators may still hold them.
-func (s *sender) Recycle(env *transport.Env) {
-	s.StopTimers()
 	if !s.pooled {
 		return
 	}

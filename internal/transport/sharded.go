@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -36,13 +35,12 @@ import (
 //     (time, srcShard, seq) order (netsim.MergeWindows);
 //  2. receiver starts for flows released this round whose destination
 //     is another shard, in source-shard index order;
-//  3. sender quiesces for cross-shard flows completed this round, in
-//     completing-shard index order: the sender is frozen (srcDone set,
-//     timers stopped) at the barrier, while the expensive
-//     Unbind/Recycle/freelist half of the teardown is deferred to the
-//     sender shard's next granted window and applied there by the
-//     owning worker, off the serial barrier path (DESIGN.md §7.7);
-//  4. global stop / event-budget / deadline checks.
+//  3. sender teardowns for cross-shard flows completed this round, in
+//     completing-shard index order;
+//  4. completions that the new floors make final fold into the
+//     caller's collector in (End, Start, FlowID) order
+//     (stats.WindowFold; DESIGN.md §7.7);
+//  5. global stop / event-budget / deadline checks.
 //
 // The logical partition and the matrix are fixed by the topology;
 // Config.Shards only caps how many worker goroutines execute the
@@ -54,9 +52,9 @@ import (
 // invisible to simulated outcomes. Because shards interact exclusively
 // through the barrier steps above and every horizon is computed from
 // shard-local state, the worker count is invisible to simulated
-// outcomes: -shards=1, 2 and 4 are byte-identical by construction, and
-// a monolithic run differs from a windowed one only through the
-// documented teardown deferral.
+// outcomes: -shards=1, 2 and 4 are byte-identical by construction. A
+// monolithic run differs from a windowed one in same-instant tie order
+// and in when a cross-shard sender is torn down (DESIGN.md §7.3).
 
 // ShardStats is the windowed engine's per-run instrumentation,
 // surfaced through Env.ShardStats into exp results and -benchjson
@@ -185,12 +183,6 @@ type shardedRun struct {
 	// tear stages cross-shard sender teardowns, indexed by the
 	// completing (receiver) shard — again a single writer per window.
 	tear [][]*Flow
-	// pendTear holds quiesced senders awaiting the deferred recycle
-	// half of their teardown, indexed by the sender's (source) shard.
-	// Written by the driver at barriers, drained by the worker owning
-	// the shard just before its next window runs — the start/done
-	// channel handoffs order the two.
-	pendTear [][]*Flow
 }
 
 func (r *shardedRun) flowDone() { r.remaining.Add(-1) }
@@ -228,72 +220,28 @@ func (r *shardedRun) applyReceiverStarts() {
 	}
 }
 
-// quiesceTeardowns freezes every sender staged for teardown this round
-// and regroups the flows per source shard for deferred recycling. Runs
-// on the driver thread at a barrier, iterating completing shards in
-// index order (entries within a slice are in completion order) so each
-// source shard's deferred queue is a deterministic subsequence of the
-// old global application order.
-//
-// Setting srcDone and stopping the sender's timers here is the entire
-// schedule-visible half of a teardown: every sender packet handler and
-// timer callback early-returns on SenderDone, and after StopTimers the
-// shard's pending set matches what a full barrier teardown would have
-// left — so horizons, and with them the whole round trajectory, are
-// bit-identical to applying everything at the barrier. The remaining
-// half (NIC unbind, endpoint recycle, flow freelist) touches only
-// shard-local pools that are read exclusively while the shard
-// executes, so it rides the shard's next granted window instead of the
-// serial barrier path. Senders without the StopTimers hook tear down
-// at the barrier, as before.
-func (r *shardedRun) quiesceTeardowns() {
-	for i := range r.tear {
-		staged := r.tear[i]
-		if len(staged) == 0 {
-			continue
-		}
+// tearDownSenders finishes every cross-shard flow staged this round:
+// srcDone is set, the sender is unbound from its NIC and recycled
+// (Recycle stops its timers), and a recyclable flow returns to its
+// source shard's freelist. Runs on the driver thread at a barrier,
+// iterating completing shards in index order (entries within a slice
+// are in completion order), so every source pool's recycling order is
+// a pure function of the workload.
+func (r *shardedRun) tearDownSenders() {
+	for i, staged := range r.tear {
 		for j, f := range staged {
 			f.srcDone = true
-			if q, ok := f.Src.Endpoint(f.ID, false).(SenderQuiescer); ok {
-				q.StopTimers()
-				d := r.hostShard[f.Src.ID()]
-				r.pendTear[d] = append(r.pendTear[d], f)
-			} else {
-				r.recycleSender(f)
+			se := r.envs[r.hostShard[f.Src.ID()]]
+			if rec, ok := f.Src.Unbind(f.ID, false).(EndpointRecycler); ok {
+				rec.Recycle(se)
+			}
+			if f.pooled && se.recycleFlows {
+				se.putFlow(f)
 			}
 			staged[j] = nil
 		}
 		r.tear[i] = staged[:0]
 	}
-}
-
-// recycleSender is the deferred half of a sender teardown: unbind the
-// endpoint from the source NIC, recycle it, and return a recyclable
-// flow to the source shard's freelist.
-func (r *shardedRun) recycleSender(f *Flow) {
-	se := r.envs[r.hostShard[f.Src.ID()]]
-	src := f.Src.Unbind(f.ID, false)
-	if rec, ok := src.(EndpointRecycler); ok {
-		rec.Recycle(se)
-	}
-	if f.pooled && se.recycleFlows {
-		se.putFlow(f)
-	}
-}
-
-// applyTeardowns recycles every quiesced sender of shard d. Called by
-// the worker owning d just before the shard's window runs (or by the
-// driver after the round loop exits, to flush shards that never ran
-// again). Recycled structs land in the pools the shard's own releaser
-// pops while executing, so applying just before RunUntil presents
-// exactly the pool state a barrier-time application would have.
-func (r *shardedRun) applyTeardowns(d int) {
-	staged := r.pendTear[d]
-	for j, f := range staged {
-		r.recycleSender(f)
-		staged[j] = nil
-	}
-	r.pendTear[d] = staged[:0]
 }
 
 // shardIdle marks a shard with no event inside its horizon this round:
@@ -313,10 +261,6 @@ type crew struct {
 	scheds []*sim.Scheduler
 	owned  [][]int // worker -> owned shard indices, ascending
 	runTo  []sim.Time
-	// preRun, when set, runs on the owning worker for each non-idle
-	// shard just before its RunUntil — the deferred teardown hook. Set
-	// once by the driver before the first start signal.
-	preRun func(shard int)
 	start  []chan struct{}
 	done   chan struct{}
 }
@@ -355,9 +299,6 @@ func startCrew(scheds []*sim.Scheduler, shardWorker []int, workers int, runTo []
 func (c *crew) runShards(w int) {
 	for _, i := range c.owned[w] {
 		if rt := c.runTo[i]; rt != shardIdle {
-			if c.preRun != nil {
-				c.preRun(i)
-			}
 			c.scheds[i].RunUntil(rt)
 		}
 	}
@@ -427,20 +368,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	n := part.N
 	la := part.Lookahead
 	if la == nil {
-		// Builders that predate the matrix supply only the global
-		// minimum window: synthesize the equivalent complete matrix.
-		if part.Window <= 0 {
-			panic("transport: partitioned fabric without a positive lookahead window")
-		}
-		la = topo.NewLookahead(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					la.AddWire(i, j, part.Window)
-				}
-			}
-		}
-		la.Close()
+		panic("transport: partitioned fabric without a lookahead matrix (topo.Partition.Lookahead is nil)")
 	}
 	if m := la.Min(); m <= 0 && m != sim.MaxTime {
 		panic("transport: partitioned fabric with a non-positive lookahead entry")
@@ -452,7 +380,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		hostShard: part.HostShard,
 		recv:      make([][]*Flow, n),
 		tear:      make([][]*Flow, n),
-		pendTear:  make([][]*Flow, n),
 	}
 	run.envs = make([]*Env, n)
 	for i := range run.envs {
@@ -481,33 +408,16 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	for i, se := range run.envs {
 		collectors[i] = se.Collector
 	}
-	// A spilling caller collector folds per-shard completions
-	// incrementally at barriers instead of one MergeCanonical at the
-	// end, keeping resident records bounded by the spill chunk while
-	// staying bit-identical to the in-memory windowed Summary
-	// (stats.WindowFold; DESIGN.md §7.7).
-	var fold *stats.WindowFold
-	if env.Collector.Spilling() {
-		fold = stats.NewWindowFold(env.Collector)
-	}
+	// Per-shard completions fold into the caller's collector at every
+	// barrier in canonical order, so a spilling collector stays inside
+	// its chunk and every collector sees one completion sequence at any
+	// shard count (DESIGN.md §7.7).
+	fold := stats.NewWindowFold(env.Collector)
 
 	// srcNext is the driver's one-flow lookahead into the global stream.
 	var srcNext SimpleFlow
-	srcHave := false
-	var lastArrive sim.Time
-	pull := func() {
-		f, ok := src.Next()
-		if !ok {
-			srcHave = false
-			return
-		}
-		if f.Arrive < lastArrive {
-			panic(fmt.Sprintf("transport: FlowSource yielded decreasing arrival times (%v after %v); sources must be arrival-sorted",
-				f.Arrive, lastArrive))
-		}
-		lastArrive = f.Arrive
-		srcNext, srcHave = f, true
-	}
+	var srcHave bool
+	pull := func() { srcNext, srcHave = src.Next() }
 	pull()
 	// feed routes every flow arriving by horizon to its source shard's
 	// queue (counting it as outstanding) and arms idle releasers. Runs
@@ -559,11 +469,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	horizons := make([]sim.Time, n) // h_d for the current round
 	runTo := make([]sim.Time, n)    // per-shard deadline, shardIdle to skip
 	settleTo := make([]sim.Time, n) // furthest horizon each shard ever ran to
-	preTear := func(i int) {
-		if len(run.pendTear[i]) > 0 {
-			run.applyTeardowns(i)
-		}
-	}
 	var workerPool *crew
 	var workerBusy []bool
 	// assign is the live shard→worker map: seeded from the partition's
@@ -574,7 +479,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	var lastExec, loadBuf []uint64
 	if workers > 1 {
 		workerPool = startCrew(part.Scheds, part.ShardWorker, workers, runTo)
-		workerPool.preRun = preTear
 		workerBusy = make([]bool, workers)
 		defer workerPool.stop()
 		assign = make([]int, n)
@@ -699,7 +603,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		case workerPool == nil:
 			for i, s := range part.Scheds {
 				if rt := runTo[i]; rt != shardIdle {
-					preTear(i)
 					s.RunUntil(rt)
 				}
 			}
@@ -721,25 +624,19 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		// Barrier: every shard quiescent, driver thread only.
 		st.CrossPackets += uint64(netsim.MergeWindows(part.Outboxes, part.Inboxes))
 		run.applyReceiverStarts()
-		run.quiesceTeardowns()
+		run.tearDownSenders()
+		// Everything before the smallest new floor is final: future
+		// completions in shard d happen at or after floors[d].
+		safe := sim.MaxTime
 		for d := 0; d < n; d++ {
 			if h := horizons[d]; h > deadline {
 				floors[d] = deadline + 1
 			} else {
 				floors[d] = h
 			}
+			safe = min(safe, floors[d])
 		}
-		if fold != nil {
-			// Everything before the smallest new floor is final: future
-			// completions in shard d happen at or after floors[d].
-			safe := floors[0]
-			for _, f := range floors[1:] {
-				if f < safe {
-					safe = f
-				}
-			}
-			fold.Fold(safe, collectors)
-		}
+		fold.Fold(safe, collectors)
 		st.Rounds++
 		st.RunNs += t1.Sub(t0).Nanoseconds()
 		st.BarrierNs += time.Since(t1).Nanoseconds()
@@ -774,10 +671,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		if minRun >= deadline {
 			break
 		}
-	}
-	// Flush teardowns deferred to shards that never ran another window.
-	for d := range run.pendTear {
-		preTear(d)
 	}
 	for i, s := range part.Scheds {
 		st.ShardEvents[i] = s.Executed - startExec[i]
@@ -822,11 +715,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		env.Eff.UsefulLow += se.Eff.UsefulLow
 		se.run = nil
 	}
-	if fold != nil {
-		fold.FoldAll(collectors)
-	} else {
-		env.Collector.MergeCanonical(collectors...)
-	}
+	fold.FoldAll(collectors)
 	for _, h := range env.Net.Hosts {
 		env.Eff.SentPayload += h.NIC().Stats.TxDataBytes
 	}

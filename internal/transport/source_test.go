@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ppt/internal/netsim"
@@ -114,6 +116,71 @@ func TestRunSourceRejectsUnsorted(t *testing.T) {
 		{ID: 1, Src: 0, Dst: 1, Size: 1000, Arrive: 10 * sim.Microsecond},
 		{ID: 2, Src: 2, Dst: 3, Size: 1000, Arrive: 5 * sim.Microsecond},
 	}}, transport.RunConfig{})
+}
+
+// panicMessage runs f and returns what it panicked with, or "" if it
+// returned normally.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestRunSourceRejectsBadFlows pins RunSource's one validation of every
+// pulled flow, on both drivers: a destination one past the last host
+// (it used to fail as an index out of range inside the releaser or
+// HostShard) and a decreasing arrival each panic with a message naming
+// the flow.
+func TestRunSourceRejectsBadFlows(t *testing.T) {
+	envs := map[string]func() *transport.Env{
+		"star": newTruncEnv,
+		"leafspine": func() *transport.Env {
+			return transport.NewEnv(topo.LeafSpine(2, 2, 2, topo.Config{
+				HostRate: 10 * netsim.Gbps, CoreRate: 40 * netsim.Gbps,
+				LinkDelay: 5 * sim.Microsecond, Shards: 1,
+			}))
+		},
+	}
+	for name, build := range envs {
+		env := build()
+		hosts := len(env.Net.Hosts)
+		msg := panicMessage(func() {
+			transport.RunSource(env, dctcp.Proto{}, &lazySource{flows: []transport.SimpleFlow{
+				{ID: 1, Src: 0, Dst: 1, Size: 1000, Arrive: 0},
+				{ID: 2, Src: 1, Dst: hosts, Size: 1000, Arrive: sim.Microsecond},
+			}}, transport.RunConfig{})
+		})
+		want := fmt.Sprintf("flow 2 runs from host 1 to host %d; the fabric's hosts are 0..%d", hosts, hosts-1)
+		if !strings.Contains(msg, want) {
+			t.Errorf("%s: Dst == len(Hosts) panicked with %q, want it to contain %q", name, msg, want)
+		}
+		msg = panicMessage(func() {
+			transport.RunSource(build(), dctcp.Proto{}, &lazySource{flows: []transport.SimpleFlow{
+				{ID: 1, Src: 0, Dst: 1, Size: 1000, Arrive: 10 * sim.Microsecond},
+				{ID: 2, Src: 1, Dst: 0, Size: 1000, Arrive: 5 * sim.Microsecond},
+			}}, transport.RunConfig{})
+		})
+		if !strings.Contains(msg, "flow 2 arrives at") {
+			t.Errorf("%s: decreasing arrival panicked with %q", name, msg)
+		}
+	}
+}
+
+// TestRunSourceNeedsLookahead pins the windowed driver's one lookahead
+// source: a partition without its per-pair matrix is refused up front.
+func TestRunSourceNeedsLookahead(t *testing.T) {
+	net := topo.LeafSpine(2, 1, 2, topo.Config{Shards: 1})
+	net.Part.Lookahead = nil
+	msg := panicMessage(func() {
+		transport.RunSource(transport.NewEnv(net), dctcp.Proto{}, &lazySource{}, transport.RunConfig{})
+	})
+	if !strings.Contains(msg, "without a lookahead matrix") {
+		t.Fatalf("nil Partition.Lookahead panicked with %q", msg)
+	}
 }
 
 // TestRunSourceShardedMatches runs the streamed path on a partitioned

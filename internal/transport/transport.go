@@ -274,7 +274,7 @@ type SimpleFlow struct {
 }
 
 // FlowSource yields pending transfers lazily, one at a time, in
-// nondecreasing arrival order (the releaser panics on a decreasing
+// nondecreasing arrival order (RunSource panics on a decreasing
 // source). It is the streaming counterpart of a materialized
 // []SimpleFlow: a million-flow workload pulled through a FlowSource
 // costs one SimpleFlow of lookahead instead of the whole slice.
@@ -300,6 +300,32 @@ func (s *sliceSource) Next() (SimpleFlow, bool) {
 	return f, true
 }
 
+// checkedSource validates each flow RunSource pulls, once, for both run
+// drivers: arrivals must not decrease, and both endpoints must be host
+// indices of the fabric.
+type checkedSource struct {
+	src   FlowSource
+	hosts int
+	last  sim.Time
+}
+
+func (c *checkedSource) Next() (SimpleFlow, bool) {
+	f, ok := c.src.Next()
+	if !ok {
+		return f, false
+	}
+	if f.Arrive < c.last {
+		panic(fmt.Sprintf("transport: flow %d arrives at %v, before the previous flow's %v; sources must be arrival-sorted",
+			f.ID, f.Arrive, c.last))
+	}
+	if f.Src < 0 || f.Src >= c.hosts || f.Dst < 0 || f.Dst >= c.hosts {
+		panic(fmt.Sprintf("transport: flow %d runs from host %d to host %d; the fabric's hosts are 0..%d",
+			f.ID, f.Src, f.Dst, c.hosts-1))
+	}
+	c.last = f.Arrive
+	return f, true
+}
+
 // releaser is the run's rolling arrival cursor: instead of
 // materializing a *Flow, a capturing closure, and a scheduler event per
 // flow before the run starts, one timer pulls flows from a FlowSource
@@ -319,7 +345,6 @@ type releaser struct {
 	// havePending.
 	pending     SimpleFlow
 	havePending bool
-	lastArrive  sim.Time
 
 	// armed tracks whether a scheduler event exists that will call fire;
 	// the windowed driver re-arms idle releasers at barriers as it feeds
@@ -336,20 +361,9 @@ type releaser struct {
 	shard   int
 }
 
-// prime refills the lookahead from the source, enforcing nondecreasing
-// arrival order.
+// prime refills the lookahead from the source.
 func (rel *releaser) prime() {
-	f, ok := rel.src.Next()
-	if !ok {
-		return
-	}
-	if f.Arrive < rel.lastArrive {
-		panic(fmt.Sprintf("transport: FlowSource yielded decreasing arrival times (%v after %v); sources must be arrival-sorted",
-			f.Arrive, rel.lastArrive))
-	}
-	rel.lastArrive = f.Arrive
-	rel.pending = f
-	rel.havePending = true
+	rel.pending, rel.havePending = rel.src.Next()
 }
 
 // fire releases every flow whose arrival time has come, then re-arms
@@ -451,11 +465,14 @@ func Run(env *Env, proto Protocol, flows []SimpleFlow, cfg RunConfig) stats.Summ
 }
 
 // RunSource is Run over a lazily produced workload: flows are pulled
-// from src — which must yield nondecreasing arrival times — with a
-// single-flow lookahead, so a million-flow run never materializes its
-// trace. Completion statistics still accumulate in env.Collector; pair
-// with stats.Collector.SetSpill to bound that side too.
+// from src with a single-flow lookahead, so a million-flow run never
+// materializes its trace. Every pulled flow must arrive no earlier than
+// the one before it and run between host indices of the fabric; RunSource
+// panics, naming the flow, on the first that does not. Completion
+// statistics still accumulate in env.Collector; pair with
+// stats.Collector.SetSpill to bound that side too.
 func RunSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Summary {
+	src = &checkedSource{src: src, hosts: len(env.Net.Hosts)}
 	if env.Net.Part != nil {
 		sp, ok := proto.(ShardableProtocol)
 		if !ok {

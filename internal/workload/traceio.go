@@ -130,12 +130,13 @@ func (b *idBitset) testAndSet(id uint32) bool {
 // hand-authored in the same five-column format) one flow at a time — a
 // FlowSource over the file, so a million-flow trace can feed a run
 // without ever being materialized. Flows must be valid: positive sizes,
-// src != dst, unique ids (tracked by a bitset sized to the largest id
-// seen). After Next returns ok == false, Err distinguishes end-of-trace
-// (nil) from a parse or validation failure.
+// non-negative host ids, src != dst, unique ids (tracked by a bitset
+// sized to the largest id seen). After Next returns ok == false, Err
+// distinguishes end-of-trace (nil) from a parse or validation failure.
 //
-// Arrival order is NOT validated here; transport.RunSource rejects
-// out-of-order arrivals when the trace is streamed into a run.
+// Arrival order and host ids beyond the fabric are NOT validated here
+// (the reader cannot know the fabric); transport.RunSource rejects both
+// when the trace is streamed into a run.
 type TraceReader struct {
 	cr     *csv.Reader
 	seen   idBitset
@@ -211,6 +212,9 @@ func (t *TraceReader) Next() (Flow, bool) {
 	}
 	if size <= 0 {
 		return t.fail("non-positive size %d", size)
+	}
+	if src < 0 || dst < 0 {
+		return t.fail("negative host id (src %d, dst %d)", src, dst)
 	}
 	if src == dst {
 		return t.fail("src == dst == %d", src)

@@ -59,6 +59,8 @@ func TestReadFlowsValidation(t *testing.T) {
 	cases := map[string]string{
 		"zero size":    header + "1,0,1,0,0\n",
 		"src==dst":     header + "1,2,2,100,0\n",
+		"negative src": header + "1,-1,2,100,0\n",
+		"negative dst": header + "1,0,-3,100,0\n",
 		"negative t":   header + "1,0,1,100,-5\n",
 		"duplicate id": header + "1,0,1,100,0\n1,0,2,100,1\n",
 		"bad int":      header + "x,0,1,100,0\n",
@@ -96,8 +98,9 @@ func TestArriveClockBounds(t *testing.T) {
 }
 
 // FuzzTraceReader feeds arbitrary text to the streaming reader. Every
-// accepted row must carry a non-negative arrival, and the accepted rows
-// must round-trip bit-identically through WriteFlows -> ReadFlows.
+// accepted row must carry a non-negative arrival and non-negative host
+// ids, and the accepted rows must round-trip bit-identically through
+// WriteFlows -> ReadFlows.
 func FuzzTraceReader(f *testing.F) {
 	header := "id,src,dst,size_bytes,arrive_us\n"
 	for _, body := range []string{
@@ -108,6 +111,7 @@ func FuzzTraceReader(f *testing.F) {
 		"1,0,1,100,122.9999999999\n",
 		"1,0,1,100,0x1p-2\n",
 		"1,0,1,100,12.345\n1,0,2,100,1\n",
+		"1,-1,2,100,0\n",
 	} {
 		f.Add(header + body)
 	}
@@ -121,6 +125,9 @@ func FuzzTraceReader(f *testing.F) {
 			}
 			if fl.Arrive < 0 {
 				t.Fatalf("accepted negative arrival %d from %q", fl.Arrive, trace)
+			}
+			if fl.Src < 0 || fl.Dst < 0 {
+				t.Fatalf("accepted negative host id (src %d, dst %d) from %q", fl.Src, fl.Dst, trace)
 			}
 			accepted = append(accepted, fl)
 		}
